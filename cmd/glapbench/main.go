@@ -24,8 +24,16 @@ import (
 	"github.com/glap-sim/glap/internal/glap"
 )
 
+// Default output paths of the experiments that write a committed report.
+// The artifact schema test decodes each committed file into its report type.
+const (
+	learnReportFile    = "BENCH_learn.json"
+	scaleReportFile    = "BENCH_scale.json"
+	scenarioReportFile = "BENCH_scenarios.json"
+)
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: f5, f6, f7, f8, f9, f10, t1, all, kernel (dense-vs-sparse hot-path comparison), robust (async consolidation under loss × latency), scale (per-stage wall time across cluster sizes and worker counts), learn (fused vs reference training-kernel comparison), scenarios (crash-churn / hetero / topology / real-trace suite), or quiesce (720-round continuous-operation run with and without the quiescence fast path)")
+	exp := flag.String("exp", "all", "experiment: f5, f6, f7, f8, f9, f10, t1, all, kernel (dense-vs-sparse hot-path comparison), robust (async consolidation under loss × latency), scale (per-stage wall time across cluster sizes and worker counts), learn (fused vs reference training-kernel comparison), or scenarios (crash-churn / hetero / topology / real-trace suite)")
 	sizes := flag.String("sizes", "100", "comma-separated cluster sizes")
 	ratios := flag.String("ratios", "2,3,4", "comma-separated VM:PM ratios")
 	rounds := flag.Int("rounds", 240, "consolidation rounds (2 simulated minutes each)")
@@ -35,17 +43,13 @@ func main() {
 	csvDir := flag.String("csv", "", "also write per-figure CSV files into this directory")
 	drops := flag.String("drops", "0,0.1,0.2", "comma-separated message-loss probabilities for -exp robust")
 	lats := flag.String("lats", "1,30,90", "comma-separated one-way message latencies for -exp robust")
-	scaleOut := flag.String("scale-out", "BENCH_scale.json", "output path for the -exp scale report")
-	scaleSizesFlag := flag.String("scale-sizes", "", "comma-separated cluster sizes for -exp scale (empty = built-in grid up to 100k PMs)")
-	learnOut := flag.String("learn-out", "BENCH_learn.json", "output path for the -exp learn report")
+	scaleOut := flag.String("scale-out", scaleReportFile, "output path for the -exp scale report")
+	scaleSizesFlag := flag.String("scale-sizes", "", "comma-separated cluster sizes for -exp scale (empty = built-in grid up to 20k PMs)")
+	learnOut := flag.String("learn-out", learnReportFile, "output path for the -exp learn report")
 	learnIters := flag.Int("learn-iters", 2_000_000, "training iterations per kernel measurement for -exp learn")
-	scenOut := flag.String("scen-out", "BENCH_scenarios.json", "output path for the -exp scenarios report")
+	scenOut := flag.String("scen-out", scenarioReportFile, "output path for the -exp scenarios report")
 	scenSizes := flag.String("scen-sizes", "40,80", "comma-separated cluster sizes for -exp scenarios")
 	scenRounds := flag.Int("scen-rounds", 60, "consolidation rounds per scenario run for -exp scenarios")
-	quiesceOut := flag.String("quiesce-out", "BENCH_quiesce.json", "output path for the -exp quiesce report")
-	quiescePMs := flag.Int("quiesce-pms", 500, "cluster size for -exp quiesce")
-	quiesceRounds := flag.Int("quiesce-rounds", 720, "consolidation rounds for -exp quiesce")
-	quiesceFreeze := flag.Int("quiesce-freeze", 60, "round at which demand freezes for -exp quiesce")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -102,7 +106,7 @@ func main() {
 	if want["scale"] {
 		// -scale-sizes wins; otherwise an explicitly passed -sizes selects
 		// the subset (so `-exp scale -sizes 500,2000` works like every other
-		// experiment), and with neither the built-in grid up to 100k runs.
+		// experiment), and with neither the built-in grid up to 20k runs.
 		scaleGrid := parseInts(*scaleSizesFlag)
 		if len(scaleGrid) == 0 {
 			sizesSet := false
@@ -126,13 +130,6 @@ func main() {
 
 	if want["scenarios"] {
 		runScenarios(*seed, *scenRounds, *workers, parseInts(*scenSizes), *scenOut)
-		if len(want) == 1 {
-			return
-		}
-	}
-
-	if want["quiesce"] {
-		runQuiesce(*seed, *quiescePMs, *quiesceRounds, *quiesceFreeze, *quiesceOut)
 		if len(want) == 1 {
 			return
 		}

@@ -39,13 +39,12 @@ const (
 	scaleTightGCMinPMs = 20000
 )
 
-// scaleSizes spans three orders of magnitude: the paper's evaluation range
-// (≤ 2000 PMs) up to the ROADMAP's six-figure north star. The hyperscale
-// rows exist because the struct-of-arrays cluster core, the streaming trace
-// source, and the compact shared Q-table backing hold per-PM state to a few
-// KB; the dense per-entity layout they replaced ran ~129 KB/PM and could
-// not have fit 100k PMs in commodity memory.
-var scaleSizes = []int{500, 1000, 2000, 5000, 20000, 50000, 100000}
+// scaleSizes spans the paper's evaluation range (≤ 2000 PMs) up to 20k PMs,
+// a tenfold margin above it. The struct-of-arrays cluster core, the
+// streaming trace source, and the compact shared Q-table backing hold
+// per-PM state to a few KB, so the largest row stays well within commodity
+// memory.
+var scaleSizes = []int{500, 1000, 2000, 5000, 20000}
 
 // scaleRow is one grid cell of BENCH_scale.json.
 type scaleRow struct {
@@ -64,22 +63,15 @@ type scaleRow struct {
 	// byte-identical across worker counts.
 	Precision string `json:"precision"`
 
-	// PairSharded / SkipQuiescent mark which engine options the row ran
-	// with. Sharded rows form their own hash-equivalence class (the sharded
-	// semantics are a distinct deterministic reference); skip rows must
-	// hash identically to the sequential rows of the same size.
-	PairSharded   bool `json:"pair_sharded"`
-	SkipQuiescent bool `json:"skip_quiescent"`
+	// PairSharded marks rows that ran with the engine's pair-sharded
+	// execution. Sharded rows form their own hash-equivalence class (the
+	// sharded semantics are a distinct deterministic reference).
+	PairSharded bool `json:"pair_sharded"`
 
 	// PairsBatchesPerRound is the mean number of node-disjoint batches the
 	// pair scheduler produced per sharded protocol pass (0 on unsharded
 	// rows) — the depth of the critical path the fan-out executes.
 	PairsBatchesPerRound float64 `json:"pairs_batches_per_round"`
-	// RoundsSkipped counts rounds batch-advanced by quiescence-skipping (0
-	// unless the row enables it; the synthetic AR workload never goes
-	// fully quiet, so 0 is the expected value here — see BENCH_quiesce.json
-	// for the plateau configuration where the fast path engages).
-	RoundsSkipped int64 `json:"rounds_skipped"`
 
 	PretrainSec      float64 `json:"pretrain_sec"`
 	ConsolidationSec float64 `json:"consolidation_sec"`
@@ -223,9 +215,8 @@ func (hw *heapWatcher) Stop() uint64 {
 
 // scaleCellOpts selects the engine execution options of one scale cell.
 type scaleCellOpts struct {
-	pairSharded   bool
-	skipQuiescent bool
-	prec          qlearn.Precision
+	pairSharded bool
+	prec        qlearn.Precision
 }
 
 // microSink keeps the micro-benchmark loops below observable.
@@ -278,7 +269,7 @@ func runScaleCell(pms, workers int, seed uint64, w *trace.Set, opts2 scaleCellOp
 		PMs: pms, VMs: pms * scaleRatio, Workers: workers,
 		envMeta:     currentEnv(),
 		Precision:   opts2.prec.String(),
-		PairSharded: opts2.pairSharded, SkipQuiescent: opts2.skipQuiescent,
+		PairSharded: opts2.pairSharded,
 	}
 	cfg := glap.Config{LearnRounds: scaleLearnRounds, AggRounds: scaleAggRounds, Precision: opts2.prec}
 	opts := glap.PretrainOptions{Workers: workers}
@@ -296,7 +287,7 @@ func runScaleCell(pms, workers int, seed uint64, w *trace.Set, opts2 scaleCellOp
 
 	// Collect the previous cell's garbage now so its GC debt is not billed
 	// to this cell's timings or its heap watermark (large-cell heaps run to
-	// hundreds of MB, and at 100k PMs to gigabytes).
+	// hundreds of MB).
 	runtime.GC()
 	hw := startHeapWatcher()
 	pre, err := build()
@@ -349,7 +340,6 @@ func runScaleCell(pms, workers int, seed uint64, w *trace.Set, opts2 scaleCellOp
 	e := sim.NewEngine(pms, seed+3)
 	e.Workers = workers
 	e.PairSharded = opts2.pairSharded
-	e.SkipQuiescent = opts2.skipQuiescent
 	b, err := policy.Bind(e, run)
 	if err != nil {
 		hw.Stop()
@@ -365,7 +355,6 @@ func runScaleCell(pms, workers int, seed uint64, w *trace.Set, opts2 scaleCellOp
 	if passes, batches, _ := e.PairStats(); passes > 0 {
 		row.PairsBatchesPerRound = float64(batches) / float64(passes)
 	}
-	row.RoundsSkipped = e.RoundsSkipped()
 
 	start = time.Now()
 	series.Finalize(run)
@@ -411,11 +400,10 @@ func runScale(seed uint64, outPath string, sizes []int) {
 	// anti-OOM and heap-watermark measure: with the default GOGC=100 the
 	// collector lets the heap double over live state before collecting, so
 	// heap_bytes_peak would report mostly floating garbage from the merge
-	// churn of the aggregation phase rather than the layout's real footprint,
-	// and the 100k-PM row (~4.5 GiB live, see EXPERIMENTS.md) would flirt
-	// with the memory limit. On small rows the same pinning costs ~10% CPU —
-	// doubling a few-hundred-MB heap is harmless — so they run under the
-	// process default. The effective GOGC is recorded per row in the env
+	// churn of the aggregation phase rather than the layout's real footprint.
+	// On small rows the same pinning costs ~10% CPU — doubling a
+	// few-hundred-MB heap is harmless — so they run under the process
+	// default. The effective GOGC is recorded per row in the env
 	// metadata: two heap_bytes_peak figures are only comparable under the
 	// same discipline. The 8 GiB soft limit is an anti-OOM backstop only —
 	// the largest row's live state must stay clear of it, or the pacer would
@@ -452,22 +440,19 @@ func runScale(seed uint64, outPath string, sizes []int) {
 		emit := func(row scaleRow) {
 			rep.Rows = append(rep.Rows, row)
 			mode := "seq    "
-			switch {
-			case row.PairSharded:
+			if row.PairSharded {
 				mode = "sharded"
-			case row.SkipQuiescent:
-				mode = "skip   "
 			}
 			fastRate := 0.0
 			if row.MergeTotal > 0 {
 				fastRate = 100 * float64(row.MergeFastHits) / float64(row.MergeTotal)
 			}
-			fmt.Printf("pms=%-6d %s %s workers=%-2d pretrain=%7.2fs (learn=%7.2fs agg=%6.2fs) (%.2fx, %.2f allocs/iter, %.0f B/iter) consolidation=%6.2fs metrics=%6.3fs batches/round=%.1f skipped=%d vals=%6.1fMB merge=%.0fns fast=%.0f%% cosine=%.0fns gogc=%d heap_peak=%6.1fMB (%.0f B/PM) hash=%s\n",
+			fmt.Printf("pms=%-6d %s %s workers=%-2d pretrain=%7.2fs (learn=%7.2fs agg=%6.2fs) (%.2fx, %.2f allocs/iter, %.0f B/iter) consolidation=%6.2fs metrics=%6.3fs batches/round=%.1f vals=%6.1fMB merge=%.0fns fast=%.0f%% cosine=%.0fns gogc=%d heap_peak=%6.1fMB (%.0f B/PM) hash=%s\n",
 				pms, row.Precision, mode, row.Workers, row.PretrainSec,
 				row.PretrainLearnSec, row.PretrainAggSec, row.PretrainSpeedup,
 				row.PretrainAllocsPerIter, row.PretrainBytesPerIter,
 				row.ConsolidationSec, row.MetricsSec,
-				row.PairsBatchesPerRound, row.RoundsSkipped,
+				row.PairsBatchesPerRound,
 				float64(row.ValueBytes)/(1<<20), row.MergeNsPerPair, fastRate,
 				row.CosineNsPerSample, row.GOGC,
 				float64(row.HeapBytesPeak)/(1<<20), float64(row.HeapBytesPeak)/float64(pms),
@@ -475,12 +460,11 @@ func runScale(seed uint64, outPath string, sizes []int) {
 		}
 
 		// Sequential reference rows across the worker list, then sharded
-		// rows across the same list, then one quiescence-skipping row. The
-		// hash classes are checked here, at generation time: all sequential
-		// rows and the skip row share one fingerprint (skipping is provably
-		// unobservable), while the sharded rows share their own (sharded
-		// draws observe round-start state — a distinct deterministic
-		// reference, byte-identical across worker counts).
+		// rows across the same list. The hash classes are checked here, at
+		// generation time: all sequential rows share one fingerprint, while
+		// the sharded rows share their own (sharded draws observe
+		// round-start state — a distinct deterministic reference,
+		// byte-identical across worker counts).
 		var seqPretrain float64
 		var seqHeap uint64
 		var seqHash, shardedHash string
@@ -510,19 +494,6 @@ func runScale(seed uint64, outPath string, sizes []int) {
 			}
 			if row.SeriesHash != shardedHash {
 				log.Fatalf("scale: sharded series hash diverged at pms=%d workers=%d", pms, wk)
-			}
-			if seqPretrain > 0 {
-				row.PretrainSpeedup = seqPretrain / row.PretrainSec
-			}
-			emit(row)
-		}
-		{
-			row, err := runScaleCell(pms, 1, seed, w, scaleCellOpts{skipQuiescent: true})
-			if err != nil {
-				log.Fatal(err)
-			}
-			if row.SeriesHash != seqHash {
-				log.Fatalf("scale: quiescence-skipping changed the series hash at pms=%d", pms)
 			}
 			if seqPretrain > 0 {
 				row.PretrainSpeedup = seqPretrain / row.PretrainSec

@@ -142,11 +142,6 @@ type Experiment struct {
 	// reference point from the sequential path (draws observe round-start
 	// state); see sim.Engine.PairSharded.
 	PairSharded bool
-	// SkipQuiescent enables the engine's quiescence-skipping fast path:
-	// provably inert round tails are batch-advanced in one fused pass.
-	// Results are byte-identical with the option on or off; see
-	// sim.Engine.SkipQuiescent.
-	SkipQuiescent bool
 
 	// Net configures the message transport for message-passing policies
 	// (PolicyGLAPAsync). Cycle-driven policies ignore it.
@@ -247,9 +242,6 @@ type Result struct {
 	// Network holds switch activity and energy when the topology model is
 	// enabled (nil otherwise).
 	Network *metrics.NetworkSeries
-	// RoundsSkipped is the number of rounds the engine batch-advanced via
-	// quiescence-skipping (0 unless Experiment.SkipQuiescent).
-	RoundsSkipped int64
 	// PairPasses/PairBatches/PairCount are the pair-sharded execution
 	// counters: protocol passes run via the sharded path, node-disjoint
 	// batches across them, and total pairs executed (all 0 unless
@@ -368,7 +360,6 @@ func prepareStack(x Experiment, w *trace.Set, shared *glap.NodeTables) (*dc.Clus
 	e := sim.NewEngine(x.PMs, deriveSeed(x.Seed, seedEngine))
 	e.Workers = x.Workers
 	e.PairSharded = x.PairSharded
-	e.SkipQuiescent = x.SkipQuiescent
 	b, err := policy.Bind(e, c)
 	if err != nil {
 		return nil, nil, nil, err
@@ -457,15 +448,14 @@ func Run(x Experiment) (*Result, error) {
 
 	passes, batches, pairs := e.PairStats()
 	return &Result{
-		Series:        series,
-		Cluster:       c,
-		Pretrain:      pretrain,
-		BFDBaseline:   bfdOracle(c),
-		Network:       network,
-		RoundsSkipped: e.RoundsSkipped(),
-		PairPasses:    passes,
-		PairBatches:   batches,
-		PairCount:     pairs,
+		Series:      series,
+		Cluster:     c,
+		Pretrain:    pretrain,
+		BFDBaseline: bfdOracle(c),
+		Network:     network,
+		PairPasses:  passes,
+		PairBatches: batches,
+		PairCount:   pairs,
 	}, nil
 }
 

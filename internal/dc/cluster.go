@@ -178,13 +178,6 @@ type Cluster struct {
 	vmDepart    []int32   // first round absent, -1 = never
 	vmFlags     []uint8   // vmFlagDeparted | vmFlagSeeded
 
-	// Quiet-demand certificate cache (see quiesce.go): demand is known
-	// constant on [vmQuietFrom, vmQuietUntil) relative to the sample at
-	// vmQuietFrom-1. Allocated lazily on the first QuietSpan probe; traces
-	// are immutable, so certified windows never need invalidation.
-	vmQuietFrom  []int32
-	vmQuietUntil []int32
-
 	// Per-PM state, indexed by PM id.
 	pmUp          []uint64 // powered-state bitset, bit p of word p/64
 	pmCurSum      []Vec    // aggregate current absolute demand of hosted VMs

@@ -59,30 +59,6 @@ func (p *phased) EndPairs(e *sim.Engine, r int) {
 	p.inner.(sim.PairRound).EndPairs(e, r)
 }
 
-// InactiveSpan implements sim.QuiescentRound for the phased wrapper: rounds
-// gated off by the phase predicate are inert by construction, and active
-// rounds delegate to the wrapped protocol's certificate (blocking unless it
-// certifies everything from the first active round on). The scan is bounded
-// by the phase predicate's period in practice — the first active round ends
-// it.
-func (p *phased) InactiveSpan(e *sim.Engine, from, to int) int {
-	first := -1
-	for r := from; r < to; r++ {
-		if p.active(r) {
-			first = r
-			break
-		}
-	}
-	if first < 0 {
-		return to - from
-	}
-	q, ok := p.inner.(sim.QuiescentRound)
-	if ok && q.InactiveSpan(e, first, to) >= to-first {
-		return to - from
-	}
-	return first - from
-}
-
 // InstallContinuous registers the full GLAP stack in the paper's continuous
 // deployment: the two-phase learning protocol re-runs on a fixed interval —
 // "the learning component runs as required by a predefined policy e.g. ...

@@ -78,7 +78,7 @@ func Decode(r io.Reader) (*Table, error) {
 	}
 	t := NewP(in.Alpha, in.Gamma, prec)
 	for _, c := range in.Cells {
-		if err := validateCell(c); err != nil {
+		if err := validateCell(c, prec); err != nil {
 			return nil, err
 		}
 		t.Set(c.S, c.A, c.Q)
@@ -119,12 +119,15 @@ func validateEnvelope(in *tableJSON) (Precision, error) {
 // validateCell rejects out-of-range keys and non-finite Q-values: a NaN Q
 // would poison the NaN-sentinel row-max cache and spread through every
 // subsequent merge average, so a corrupt or hostile checkpoint fails here.
-func validateCell(c cellJSON) error {
+// The check applies to the value as stored on the table's tier: a finite
+// float64 beyond float32 range would round to ±Inf on the F32 tier, and the
+// table could then never be encoded again.
+func validateCell(c cellJSON, prec Precision) error {
 	if c.S >= maxCodecKey || c.A >= maxCodecKey {
 		return fmt.Errorf("qlearn: cell key (%d, %d) out of range", c.S, c.A)
 	}
-	if math.IsNaN(c.Q) || math.IsInf(c.Q, 0) {
-		return fmt.Errorf("qlearn: non-finite Q-value %g at cell (%d, %d)", c.Q, c.S, c.A)
+	if q := prec.round(c.Q); math.IsNaN(q) || math.IsInf(q, 0) {
+		return fmt.Errorf("qlearn: non-finite %s Q-value %g at cell (%d, %d)", prec, c.Q, c.S, c.A)
 	}
 	return nil
 }

@@ -158,11 +158,19 @@ func TestDecodeErrors(t *testing.T) {
 		"-inf q": {S: 1, A: 2, Q: math.Inf(-1)},
 	}
 	for name, c := range badCells {
-		if err := validateCell(c); err == nil {
+		if err := validateCell(c, F64); err == nil {
 			t.Fatalf("cell %q: expected error", name)
 		}
 	}
-	if err := validateCell(cellJSON{S: 1, A: 2, Q: -1000}); err != nil {
+	if err := validateCell(cellJSON{S: 1, A: 2, Q: -1000}, F64); err != nil {
 		t.Fatalf("finite cell rejected: %v", err)
+	}
+	// A finite float64 beyond float32 range overflows on the F32 tier only.
+	big := cellJSON{S: 1, A: 2, Q: -1e300}
+	if err := validateCell(big, F32); err == nil {
+		t.Fatal("f32 overflow cell: expected error")
+	}
+	if err := validateCell(big, F64); err != nil {
+		t.Fatalf("f64 cell rejected: %v", err)
 	}
 }

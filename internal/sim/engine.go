@@ -108,68 +108,15 @@ type PairRound interface {
 	EndPairs(e *Engine, round int)
 }
 
-// QuiescentRound is the opt-in contract for quiescence-skipping. A protocol
-// implements it to certify, from the current state, that running its Round
-// on every node for every due round in [from, to) would have no effect
-// observable in the simulation's outputs (metrics series, cluster
-// accounting) — PROVIDED every other installed protocol and hook is
-// simultaneously inert over the same span, which the engine establishes
-// before skipping. Effects confined to overlay or RNG state that only
-// influence other inert exchanges (e.g. Cyclon view churn) are not
-// observable under that proviso and may be certified away.
-type QuiescentRound interface {
-	Protocol
-	// InactiveSpan returns how many rounds starting at from (capped at to)
-	// the protocol certifies as inert. Returning to-from certifies the full
-	// span; anything less blocks skipping (the engine only skips whole
-	// tails).
-	InactiveSpan(e *Engine, from, to int) int
-}
-
 // Observer is called at the end of every completed round, after all
 // protocols ran on all nodes.
 type Observer func(e *Engine, round int)
-
-// SpanHook is the span-capable form of a BeforeRound/Observe hook: Each
-// fires per round exactly like a plain Observer, while Quiet/Span let the
-// engine batch-advance a certified-quiet tail. Quiet must be a pure check —
-// it reports whether the hook can reproduce rounds [from, to) in one fused
-// Span call, without mutating anything — because the engine probes every
-// hook before committing to a skip. Span must then produce state and
-// samples bit-identical to calling Each for every round of the span.
-// Hooks registered through the plain BeforeRound/Observe methods are not
-// span-capable and block skipping, which keeps fault injectors and
-// specialised observers conservative by default.
-type SpanHook struct {
-	Each  Observer
-	Quiet func(e *Engine, from, to int) bool
-	Span  func(e *Engine, from, to int)
-}
 
 type protoReg struct {
 	proto Protocol
 	every int // run each `every` rounds
 	from  int // first round in which the protocol runs
 	until int // last round (inclusive); <0 means forever
-}
-
-// dueIn reports whether the protocol would run in at least one round of
-// [from, to) under its (every, from, until) window.
-func (reg *protoReg) dueIn(from, to int) bool {
-	lo := from
-	if lo < reg.from {
-		lo = reg.from
-	}
-	hi := to
-	if reg.until >= 0 && reg.until+1 < hi {
-		hi = reg.until + 1
-	}
-	if lo >= hi {
-		return false
-	}
-	// First multiple of `every` (counted from reg.from) at or after lo.
-	next := reg.from + ((lo-reg.from+reg.every-1)/reg.every)*reg.every
-	return next < hi
 }
 
 // Engine drives one simulation run.
@@ -181,20 +128,17 @@ type Engine struct {
 	queue     eventQueue
 	now       int64
 	observers []Observer
-	obsSpan   []*SpanHook // parallel to observers; nil = plain hook
 	pre       []Observer
-	preSpan   []*SpanHook // parallel to pre; nil = plain hook
 	round     int
 	stopReq   bool
 	upCount   atomic.Int64
 
 	// Pair-sharded execution scratch and counters (see PairRound).
-	pairBuf       []par.Pair
-	pairSched     par.PairSchedule
-	pairRounds    int64 // protocol passes executed via the sharded path
-	pairBatches   int64 // total batches across those passes
-	pairTotal     int64 // total pairs across those passes
-	roundsSkipped int64 // rounds batch-advanced by quiescence-skipping
+	pairBuf     []par.Pair
+	pairSched   par.PairSchedule
+	pairRounds  int64 // protocol passes executed via the sharded path
+	pairBatches int64 // total batches across those passes
+	pairTotal   int64 // total pairs across those passes
 
 	// RoundPeriod is the virtual duration of one round. The paper uses
 	// 2-minute rounds; the default is 120 (seconds).
@@ -215,16 +159,6 @@ type Engine struct {
 	// reference point (draws observe round-start state), so it is pinned by
 	// its own golden fingerprints.
 	PairSharded bool
-
-	// SkipQuiescent enables quiescence-skipping: when the event queue is
-	// empty and every due protocol plus every registered hook certifies the
-	// entire remaining tail of the run as inert, RunRounds batch-advances
-	// demand accounting and metrics in one fused pass instead of grinding
-	// through the quiet rounds. Only whole tails are skipped — protocol and
-	// shuffle randomness is not drawn for skipped rounds, which is provably
-	// unobservable only when no live round follows. Results are
-	// byte-identical with the option on or off.
-	SkipQuiescent bool
 }
 
 // NewEngine builds an engine with n nodes, all initially up, seeded by seed.
@@ -308,39 +242,17 @@ func (e *Engine) RegisterWindow(p Protocol, every, from, until int) {
 	e.protocols = append(e.protocols, protoReg{proto: p, every: every, from: from, until: until})
 }
 
-// Observe adds an end-of-round observer. Plain observers block
-// quiescence-skipping; use ObserveSpan for hooks that can batch-advance.
+// Observe adds an end-of-round observer.
 func (e *Engine) Observe(o Observer) {
 	e.observers = append(e.observers, o)
-	e.obsSpan = append(e.obsSpan, nil)
-}
-
-// ObserveSpan adds a span-capable end-of-round observer (see SpanHook).
-func (e *Engine) ObserveSpan(h SpanHook) {
-	hc := h
-	e.observers = append(e.observers, h.Each)
-	e.obsSpan = append(e.obsSpan, &hc)
 }
 
 // BeforeRound adds a hook that fires at the start of every round, before any
 // protocol runs. The cluster binding uses it to refresh VM demand so that
-// protocols observe the round's workload. Plain hooks block
-// quiescence-skipping; use BeforeRoundSpan for hooks that can batch-advance.
+// protocols observe the round's workload.
 func (e *Engine) BeforeRound(o Observer) {
 	e.pre = append(e.pre, o)
-	e.preSpan = append(e.preSpan, nil)
 }
-
-// BeforeRoundSpan adds a span-capable start-of-round hook (see SpanHook).
-func (e *Engine) BeforeRoundSpan(h SpanHook) {
-	hc := h
-	e.pre = append(e.pre, h.Each)
-	e.preSpan = append(e.preSpan, &hc)
-}
-
-// RoundsSkipped returns the number of rounds batch-advanced by
-// quiescence-skipping so far.
-func (e *Engine) RoundsSkipped() int64 { return e.roundsSkipped }
 
 // PairStats returns the pair-sharded execution counters: sharded protocol
 // passes executed, total node-disjoint batches, and total pairs across them.
@@ -410,17 +322,6 @@ func (e *Engine) RunRounds(rounds int) {
 		roundStart := int64(r) * e.RoundPeriod
 		e.drainUntil(roundStart)
 		e.now = roundStart
-		// Quiescence fast path: only whole tails are skipped, because
-		// skipped rounds draw no shuffle or protocol randomness — provably
-		// unobservable only when no live round follows. r >= 1 keeps round 0
-		// (protocol warm-up, From-gating) on the reference path.
-		if e.SkipQuiescent && r >= 1 && e.queue.Len() == 0 && e.quietTail(r, rounds) {
-			e.skipTail(r, rounds)
-			e.roundsSkipped += int64(rounds - r)
-			e.round = rounds
-			e.now = int64(rounds) * e.RoundPeriod
-			return
-		}
 		for _, o := range e.pre {
 			o(e, r)
 		}
@@ -460,58 +361,6 @@ func (e *Engine) RunRounds(rounds int) {
 	e.round = rounds
 	e.now = int64(rounds) * e.RoundPeriod
 	e.drainUntil(e.now)
-}
-
-// quietTail reports whether rounds [from, to) are provably inert: every
-// pre/observer hook is span-capable and certifies the span quiet, and every
-// protocol due in the span implements QuiescentRound and certifies all of it.
-// Checks are ordered cheapest-failure-first: hook capability is O(hooks), the
-// cluster demand probe (a pre-hook Quiet) fails O(1) on noisy workloads, and
-// the consolidation certificate scans PMs/VMs only when demand is constant.
-func (e *Engine) quietTail(from, to int) bool {
-	for _, h := range e.preSpan {
-		if h == nil {
-			return false
-		}
-	}
-	for _, h := range e.obsSpan {
-		if h == nil {
-			return false
-		}
-	}
-	for _, h := range e.preSpan {
-		if h.Quiet == nil || !h.Quiet(e, from, to) {
-			return false
-		}
-	}
-	for pi := range e.protocols {
-		reg := &e.protocols[pi]
-		if !reg.dueIn(from, to) {
-			continue
-		}
-		q, ok := reg.proto.(QuiescentRound)
-		if !ok || q.InactiveSpan(e, from, to) < to-from {
-			return false
-		}
-	}
-	for _, h := range e.obsSpan {
-		if h.Quiet == nil || !h.Quiet(e, from, to) {
-			return false
-		}
-	}
-	return true
-}
-
-// skipTail batch-advances the certified-quiet rounds [from, to): pre-hook
-// spans apply in registration order (demand accounting), then observer spans
-// (metrics), reproducing exactly what the per-round path would have produced.
-func (e *Engine) skipTail(from, to int) {
-	for _, h := range e.preSpan {
-		h.Span(e, from, to)
-	}
-	for _, h := range e.obsSpan {
-		h.Span(e, from, to)
-	}
 }
 
 // runPairsSharded executes one PairRound protocol pass: a sequential draw

@@ -73,11 +73,10 @@ type ScenarioConfig struct {
 	GLAP glap.Config
 	// Scenarios selects the families to run (default DefaultScenarios).
 	Scenarios []Scenario
-	// PairSharded / SkipQuiescent forward the engine's pair-sharded
-	// execution and quiescence-skipping options into every cell (see
-	// Experiment); the suite's series hashes are invariant to both.
-	PairSharded   bool
-	SkipQuiescent bool
+	// PairSharded forwards the engine's pair-sharded execution option into
+	// every cell (see Experiment); the suite's series hashes are invariant
+	// to it.
+	PairSharded bool
 }
 
 func (c ScenarioConfig) withDefaults() ScenarioConfig {
@@ -189,7 +188,7 @@ func baseScenarioExperiment(cfg ScenarioConfig, pms int, seed uint64) Experiment
 		PMs: pms, Ratio: cfg.Ratio, Rounds: cfg.Rounds, Seed: seed,
 		Workers: cfg.Workers, GLAP: cfg.GLAP,
 		CyclonViewSize: 20, CyclonShuffleLen: 8,
-		PairSharded: cfg.PairSharded, SkipQuiescent: cfg.SkipQuiescent,
+		PairSharded: cfg.PairSharded,
 	}
 }
 
