@@ -63,16 +63,6 @@ type scaleRow struct {
 	// byte-identical across worker counts.
 	Precision string `json:"precision"`
 
-	// PairSharded marks rows that ran with the engine's pair-sharded
-	// execution. Sharded rows form their own hash-equivalence class (the
-	// sharded semantics are a distinct deterministic reference).
-	PairSharded bool `json:"pair_sharded"`
-
-	// PairsBatchesPerRound is the mean number of node-disjoint batches the
-	// pair scheduler produced per sharded protocol pass (0 on unsharded
-	// rows) — the depth of the critical path the fan-out executes.
-	PairsBatchesPerRound float64 `json:"pairs_batches_per_round"`
-
 	PretrainSec      float64 `json:"pretrain_sec"`
 	ConsolidationSec float64 `json:"consolidation_sec"`
 	MetricsSec       float64 `json:"metrics_sec"`
@@ -213,12 +203,6 @@ func (hw *heapWatcher) Stop() uint64 {
 	return hw.peak
 }
 
-// scaleCellOpts selects the engine execution options of one scale cell.
-type scaleCellOpts struct {
-	pairSharded bool
-	prec        qlearn.Precision
-}
-
 // microSink keeps the micro-benchmark loops below observable.
 var microSink float64
 
@@ -262,16 +246,15 @@ func measureCosineNs(tables *glap.NodeTables, prec qlearn.Precision) float64 {
 	return float64(time.Since(start).Nanoseconds()) / iters
 }
 
-// runScaleCell executes one full reduced GLAP experiment at the given size
-// and worker count, timing each stage.
-func runScaleCell(pms, workers int, seed uint64, w *trace.Set, opts2 scaleCellOpts) (scaleRow, error) {
+// runScaleCell executes one full reduced GLAP experiment at the given size,
+// worker count and Q-value precision tier, timing each stage.
+func runScaleCell(pms, workers int, seed uint64, w *trace.Set, prec qlearn.Precision) (scaleRow, error) {
 	row := scaleRow{
 		PMs: pms, VMs: pms * scaleRatio, Workers: workers,
-		envMeta:     currentEnv(),
-		Precision:   opts2.prec.String(),
-		PairSharded: opts2.pairSharded,
+		envMeta:   currentEnv(),
+		Precision: prec.String(),
 	}
-	cfg := glap.Config{LearnRounds: scaleLearnRounds, AggRounds: scaleAggRounds, Precision: opts2.prec}
+	cfg := glap.Config{LearnRounds: scaleLearnRounds, AggRounds: scaleAggRounds, Precision: prec}
 	opts := glap.PretrainOptions{Workers: workers}
 
 	build := func() (*dc.Cluster, error) {
@@ -339,7 +322,6 @@ func runScaleCell(pms, workers int, seed uint64, w *trace.Set, opts2 scaleCellOp
 	}
 	e := sim.NewEngine(pms, seed+3)
 	e.Workers = workers
-	e.PairSharded = opts2.pairSharded
 	b, err := policy.Bind(e, run)
 	if err != nil {
 		hw.Stop()
@@ -352,9 +334,6 @@ func runScaleCell(pms, workers int, seed uint64, w *trace.Set, opts2 scaleCellOp
 	e.RunRounds(scaleConsRounds)
 	row.ConsolidationSec = time.Since(start).Seconds()
 	hw.Sample()
-	if passes, batches, _ := e.PairStats(); passes > 0 {
-		row.PairsBatchesPerRound = float64(batches) / float64(passes)
-	}
 
 	start = time.Now()
 	series.Finalize(run)
@@ -370,7 +349,7 @@ func runScaleCell(pms, workers int, seed uint64, w *trace.Set, opts2 scaleCellOp
 	// timings above (the heap watcher is still live, but the clones are two
 	// tables against a cluster-sized heap).
 	row.MergeNsPerPair = measureMergeNs(tables)
-	row.CosineNsPerSample = measureCosineNs(tables, opts2.prec)
+	row.CosineNsPerSample = measureCosineNs(tables, prec)
 	row.HeapBytesPeak = hw.Stop()
 	return row, nil
 }
@@ -439,68 +418,44 @@ func runScale(seed uint64, outPath string, sizes []int) {
 		}
 		emit := func(row scaleRow) {
 			rep.Rows = append(rep.Rows, row)
-			mode := "seq    "
-			if row.PairSharded {
-				mode = "sharded"
-			}
 			fastRate := 0.0
 			if row.MergeTotal > 0 {
 				fastRate = 100 * float64(row.MergeFastHits) / float64(row.MergeTotal)
 			}
-			fmt.Printf("pms=%-6d %s %s workers=%-2d pretrain=%7.2fs (learn=%7.2fs agg=%6.2fs) (%.2fx, %.2f allocs/iter, %.0f B/iter) consolidation=%6.2fs metrics=%6.3fs batches/round=%.1f vals=%6.1fMB merge=%.0fns fast=%.0f%% cosine=%.0fns gogc=%d heap_peak=%6.1fMB (%.0f B/PM) hash=%s\n",
-				pms, row.Precision, mode, row.Workers, row.PretrainSec,
+			fmt.Printf("pms=%-6d %s workers=%-2d pretrain=%7.2fs (learn=%7.2fs agg=%6.2fs) (%.2fx, %.2f allocs/iter, %.0f B/iter) consolidation=%6.2fs metrics=%6.3fs vals=%6.1fMB merge=%.0fns fast=%.0f%% cosine=%.0fns gogc=%d heap_peak=%6.1fMB (%.0f B/PM) hash=%s\n",
+				pms, row.Precision, row.Workers, row.PretrainSec,
 				row.PretrainLearnSec, row.PretrainAggSec, row.PretrainSpeedup,
 				row.PretrainAllocsPerIter, row.PretrainBytesPerIter,
 				row.ConsolidationSec, row.MetricsSec,
-				row.PairsBatchesPerRound,
 				float64(row.ValueBytes)/(1<<20), row.MergeNsPerPair, fastRate,
 				row.CosineNsPerSample, row.GOGC,
 				float64(row.HeapBytesPeak)/(1<<20), float64(row.HeapBytesPeak)/float64(pms),
 				row.SeriesHash[:12])
 		}
 
-		// Sequential reference rows across the worker list, then sharded
-		// rows across the same list. The hash classes are checked here, at
-		// generation time: all sequential rows share one fingerprint, while
-		// the sharded rows share their own (sharded draws observe
-		// round-start state — a distinct deterministic reference,
-		// byte-identical across worker counts).
-		var seqPretrain float64
-		var seqHeap uint64
-		var seqHash, shardedHash string
+		// F64 reference rows across the worker list. The hash class is
+		// checked here, at generation time: every row shares one
+		// fingerprint.
+		var f64Pretrain float64
+		var f64Heap uint64
+		var f64Hash string
 		for _, wk := range workers {
-			row, err := runScaleCell(pms, wk, seed, w, scaleCellOpts{})
+			row, err := runScaleCell(pms, wk, seed, w, qlearn.F64)
 			if err != nil {
 				log.Fatal(err)
 			}
 			if wk == 1 {
-				seqPretrain, seqHash, seqHeap = row.PretrainSec, row.SeriesHash, row.HeapBytesPeak
+				f64Pretrain, f64Hash, f64Heap = row.PretrainSec, row.SeriesHash, row.HeapBytesPeak
 			}
-			if seqPretrain > 0 {
-				row.PretrainSpeedup = seqPretrain / row.PretrainSec
+			if f64Pretrain > 0 {
+				row.PretrainSpeedup = f64Pretrain / row.PretrainSec
 			}
-			if seqHash != "" && row.SeriesHash != seqHash {
+			if f64Hash != "" && row.SeriesHash != f64Hash {
 				log.Fatalf("scale: series hash diverged at pms=%d workers=%d", pms, wk)
 			}
 			emit(row)
 		}
-		for _, wk := range workers {
-			row, err := runScaleCell(pms, wk, seed, w, scaleCellOpts{pairSharded: true})
-			if err != nil {
-				log.Fatal(err)
-			}
-			if shardedHash == "" {
-				shardedHash = row.SeriesHash
-			}
-			if row.SeriesHash != shardedHash {
-				log.Fatalf("scale: sharded series hash diverged at pms=%d workers=%d", pms, wk)
-			}
-			if seqPretrain > 0 {
-				row.PretrainSpeedup = seqPretrain / row.PretrainSec
-			}
-			emit(row)
-		}
-		// F32 value-tier rows: the sequential class re-run on the narrow
+		// F32 value-tier rows: the F64 class re-run on the narrow
 		// tier. The tier keeps its own hash class — rounded Q-values may
 		// legitimately flip near-tie decisions against the F64 series — and
 		// that class must itself be byte-identical across worker counts.
@@ -509,15 +464,15 @@ func runScale(seed uint64, outPath string, sizes []int) {
 		var f32Pretrain float64
 		var f32Hash string
 		for _, wk := range workers {
-			row, err := runScaleCell(pms, wk, seed, w, scaleCellOpts{prec: qlearn.F32})
+			row, err := runScaleCell(pms, wk, seed, w, qlearn.F32)
 			if err != nil {
 				log.Fatal(err)
 			}
 			if wk == 1 {
 				f32Pretrain, f32Hash = row.PretrainSec, row.SeriesHash
-				if seqHeap > 0 {
-					fmt.Printf("pms=%-6d f32 heap_bytes_peak vs f64 seq: %.1f%% reduction\n",
-						pms, 100*(1-float64(row.HeapBytesPeak)/float64(seqHeap)))
+				if f64Heap > 0 {
+					fmt.Printf("pms=%-6d f32 heap_bytes_peak vs f64: %.1f%% reduction\n",
+						pms, 100*(1-float64(row.HeapBytesPeak)/float64(f64Heap)))
 				}
 			}
 			if f32Hash != "" && row.SeriesHash != f32Hash {

@@ -227,10 +227,9 @@ type Cluster struct {
 	logMigrations    bool
 }
 
-// pmOn reads the powered bit of PM p. The bitset packs 64 PMs per word, so
-// pair-sharded consolidation batches — whose pairs are node-disjoint but may
-// land in the same word — access it atomically; on amd64 the load is a plain
-// MOV, so the sequential paths pay nothing.
+// pmOn reads the powered bit of PM p. The bitset packs 64 PMs per word and
+// is accessed atomically, so writers of neighbouring bits never race; on
+// amd64 the load is a plain MOV, so reads pay nothing for it.
 func (c *Cluster) pmOn(p int) bool {
 	return atomic.LoadUint64(&c.pmUp[uint(p)>>6])&(1<<(uint(p)&63)) != 0
 }
@@ -528,38 +527,6 @@ func (c *Cluster) SetPMOn(pm *PM, on bool) error {
 	return nil
 }
 
-// MigAcct collects the cluster-global side of migrations performed by one
-// pair of a pair-sharded consolidation batch. Everything Migrate touches is
-// confined to the two endpoint PMs and the moved VM's own columns — except
-// the cumulative counters and the migration log, which concurrent pairs would
-// race on. MigrateAcct diverts those into a per-pair MigAcct; FoldMigAcct
-// replays them into the ledger in draw order, so the folded totals and log
-// match a sequential execution of the same pair list.
-type MigAcct struct {
-	Migrations int64
-	EnergyJ    float64
-	Log        []Migration
-}
-
-// MigrateAcct is Migrate with the cluster-global accounting diverted into
-// acct (see MigAcct). acct == nil falls back to direct ledger updates.
-func (c *Cluster) MigrateAcct(vm *VM, dst *PM, acct *MigAcct) error {
-	return c.migrate(vm, dst, acct)
-}
-
-// FoldMigAcct folds one pair's diverted accounting into the cluster ledger.
-// Call it once per pair, in draw order.
-func (c *Cluster) FoldMigAcct(acct *MigAcct) {
-	c.Migrations += acct.Migrations
-	c.MigrationEnergyJ += acct.EnergyJ
-	if c.logMigrations && len(acct.Log) > 0 {
-		c.migrationLog = append(c.migrationLog, acct.Log...)
-	}
-	acct.Migrations = 0
-	acct.EnergyJ = 0
-	acct.Log = acct.Log[:0]
-}
-
 // Migrate live-migrates vm from its current host to dst, updating counters
 // and the energy ledger (Eq. 3). It returns an error when dst is off, vm is
 // unplaced, or src == dst. Capacity is deliberately not re-checked here:
@@ -567,10 +534,6 @@ func (c *Cluster) FoldMigAcct(acct *MigAcct) {
 // over-admission must be expressible so that bad policies produce the SLA
 // violations the paper measures.
 func (c *Cluster) Migrate(vm *VM, dst *PM) error {
-	return c.migrate(vm, dst, nil)
-}
-
-func (c *Cluster) migrate(vm *VM, dst *PM, acct *MigAcct) error {
 	host := c.vmHost[vm.ID]
 	if host < 0 {
 		return fmt.Errorf("dc: VM %d is not placed", vm.ID)
@@ -615,17 +578,6 @@ func (c *Cluster) migrate(vm *VM, dst *PM, acct *MigAcct) error {
 	// utilisation during the migration.
 	c.vmDegraded[vm.ID] += 0.10 * c.vmCur[vm.ID][CPU] * c.vmCap[vm.ID][CPU] * tau
 
-	if acct != nil {
-		acct.Migrations++
-		acct.EnergyJ += energy
-		if c.logMigrations {
-			acct.Log = append(acct.Log, Migration{
-				VM: vm.ID, From: src.ID, To: dst.ID, Round: c.round,
-				Seconds: tau, EnergyJ: energy,
-			})
-		}
-		return nil
-	}
 	c.Migrations++
 	c.MigrationEnergyJ += energy
 	if c.logMigrations {

@@ -51,35 +51,6 @@ func (a *AggProtocol) Round(e *sim.Engine, n *sim.Node, round int) {
 	MergeTables(st, TablesOf(e, e.Node(peer)))
 }
 
-// PairSharded implements sim.PairRound. Aggregation always operates on the
-// per-node table stores (TablesOf), and MergeTables confines its writes to
-// the two endpoints' tables — the copy-on-write value backings make
-// concurrent merges of node-disjoint pairs value-deterministic regardless of
-// backing identity — so the protocol is unconditionally pair-capable.
-func (a *AggProtocol) PairSharded() bool { return true }
-
-// DrawPair implements sim.PairRound: Round's scratch drop and peer draw.
-func (a *AggProtocol) DrawPair(e *sim.Engine, n *sim.Node, round int) int {
-	st := TablesOf(e, n)
-	st.scratch = learnScratch{}
-	sel := a.Select
-	if sel == nil {
-		sel = gossip.CyclonSelector
-	}
-	return sel(e, n, a.rng.For(e, 0xa66a66))
-}
-
-// BeginPairs implements sim.PairRound (no per-pair accounting).
-func (a *AggProtocol) BeginPairs(e *sim.Engine, round, npairs int) {}
-
-// RunPair implements sim.PairRound: the push-pull merge of pair (a, b).
-func (a *AggProtocol) RunPair(e *sim.Engine, p, q *sim.Node, round, idx int) {
-	MergeTables(TablesOf(e, p), TablesOf(e, q))
-}
-
-// EndPairs implements sim.PairRound (nothing to fold).
-func (a *AggProtocol) EndPairs(e *sim.Engine, round int) {}
-
 // IOVector adapts a node's φ^io to the map-based convergence
 // instrumentation; nodes with empty tables are excluded from similarity
 // measurement, matching the paper's remark that PMs lacking resources may

@@ -41,11 +41,6 @@ type ConsolidateProtocol struct {
 	Topo *topology.Tree
 
 	rng sim.BoundRNG
-
-	// accts holds one migration-accounting slot per drawn pair of the
-	// current pair-sharded pass (see sim.PairRound); EndPairs folds them
-	// back into the cluster ledger in draw order.
-	accts []dc.MigAcct
 }
 
 // Name implements sim.Protocol.
@@ -86,55 +81,14 @@ func (p *ConsolidateProtocol) Round(e *sim.Engine, n *sim.Node, round int) {
 	}
 	pmP := p.B.PM(n)
 	pmQ := p.B.C.PMs[peer]
-	p.updateState(e, n, pmP, pmQ, nil)
-	p.updateState(e, e.Node(peer), pmQ, pmP, nil)
-}
-
-// PairSharded implements sim.PairRound. The topology-aware direction rule
-// reads rack-global power state — beyond the two endpoints other pairs may
-// be flipping concurrently — so it keeps the sequential path.
-func (p *ConsolidateProtocol) PairSharded() bool { return p.Topo == nil }
-
-// DrawPair implements sim.PairRound: exactly Round's peer draw.
-func (p *ConsolidateProtocol) DrawPair(e *sim.Engine, n *sim.Node, round int) int {
-	sel := p.Select
-	if sel == nil {
-		sel = gossip.CyclonSelector
-	}
-	return sel(e, n, p.rng.For(e, 0xc0501))
-}
-
-// BeginPairs implements sim.PairRound: size the per-pair accounting slots.
-func (p *ConsolidateProtocol) BeginPairs(e *sim.Engine, round, npairs int) {
-	if cap(p.accts) < npairs {
-		p.accts = make([]dc.MigAcct, npairs)
-	}
-	p.accts = p.accts[:npairs]
-}
-
-// RunPair implements sim.PairRound: the push-pull exchange of Round with the
-// cluster-global migration counters diverted into the pair's slot. All other
-// writes are confined to the endpoint PMs and their hosted VMs.
-func (p *ConsolidateProtocol) RunPair(e *sim.Engine, a, b *sim.Node, round, idx int) {
-	acct := &p.accts[idx]
-	pmP := p.B.PM(a)
-	pmQ := p.B.C.PMs[b.ID]
-	p.updateState(e, a, pmP, pmQ, acct)
-	p.updateState(e, b, pmQ, pmP, acct)
-}
-
-// EndPairs implements sim.PairRound: fold the diverted accounting in draw
-// order, reproducing the sequential ledger exactly for the same pair list.
-func (p *ConsolidateProtocol) EndPairs(e *sim.Engine, round int) {
-	for i := range p.accts {
-		p.B.C.FoldMigAcct(&p.accts[i])
-	}
+	p.updateState(e, n, pmP, pmQ)
+	p.updateState(e, e.Node(peer), pmQ, pmP)
 }
 
 // updateState runs Algorithm 3's UPDATESTATE for endpoint s against peer o:
 // the shared direction rule decides the sender role, then the matching
 // migration loop drives the shared π_out/π_in core via migrateOne.
-func (p *ConsolidateProtocol) updateState(e *sim.Engine, n *sim.Node, s, o *dc.PM, acct *dc.MigAcct) {
+func (p *ConsolidateProtocol) updateState(e *sim.Engine, n *sim.Node, s, o *dc.PM) {
 	c := p.B.C
 	if !s.On() || !o.On() {
 		return
@@ -155,14 +109,14 @@ func (p *ConsolidateProtocol) updateState(e *sim.Engine, n *sim.Node, s, o *dc.P
 	case decision.ModeShed:
 		// Shed VMs while overloaded (lines 12-13).
 		for c.Overloaded(s) {
-			if !p.migrateOne(st, s, o, acct) {
+			if !p.migrateOne(st, s, o) {
 				return
 			}
 		}
 	case decision.ModeEmpty:
 		// The lower-utilisation endpoint empties itself (lines 14-16).
 		for s.NumVMs() > 0 {
-			if !p.migrateOne(st, s, o, acct) {
+			if !p.migrateOne(st, s, o) {
 				return
 			}
 		}
@@ -205,7 +159,7 @@ func (p *ConsolidateProtocol) rackActive(pm int) int {
 // offer, the shared π_in core vets it — on the sender, on behalf of the
 // target, against the target's live state and free capacity — and the
 // migration executes on acceptance.
-func (p *ConsolidateProtocol) migrateOne(st *NodeTables, s, o *dc.PM, acct *dc.MigAcct) bool {
+func (p *ConsolidateProtocol) migrateOne(st *NodeTables, s, o *dc.PM) bool {
 	c := p.B.C
 	off, ok := decision.SelectOffer(st.Out, p.pmState(c, s), p.B.VMsOf(s), p.vmAction)
 	if !ok {
@@ -214,5 +168,5 @@ func (p *ConsolidateProtocol) migrateOne(st *NodeTables, s, o *dc.PM, acct *dc.M
 	if !decision.VetOffer(st.In, p.pmState(c, o), off.Action, off.VM.CurAbs(), c.FreeCur(o)) {
 		return false
 	}
-	return c.MigrateAcct(off.VM, o, acct) == nil
+	return c.Migrate(off.VM, o) == nil
 }

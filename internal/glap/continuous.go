@@ -32,33 +32,6 @@ func (p *phased) Parallelizable() bool {
 	return ok && pr.Parallelizable()
 }
 
-// PairSharded delegates pair-sharded capability to the wrapped protocol.
-func (p *phased) PairSharded() bool {
-	pp, ok := p.inner.(sim.PairRound)
-	return ok && pp.PairSharded()
-}
-
-// DrawPair delegates, returning no pair on inactive rounds so the sharded
-// path reproduces the phased gating exactly (no draws, no exchanges).
-func (p *phased) DrawPair(e *sim.Engine, n *sim.Node, r int) int {
-	if !p.active(r) {
-		return -1
-	}
-	return p.inner.(sim.PairRound).DrawPair(e, n, r)
-}
-
-func (p *phased) BeginPairs(e *sim.Engine, r, npairs int) {
-	p.inner.(sim.PairRound).BeginPairs(e, r, npairs)
-}
-
-func (p *phased) RunPair(e *sim.Engine, a, b *sim.Node, r, idx int) {
-	p.inner.(sim.PairRound).RunPair(e, a, b, r, idx)
-}
-
-func (p *phased) EndPairs(e *sim.Engine, r int) {
-	p.inner.(sim.PairRound).EndPairs(e, r)
-}
-
 // InstallContinuous registers the full GLAP stack in the paper's continuous
 // deployment: the two-phase learning protocol re-runs on a fixed interval —
 // "the learning component runs as required by a predefined policy e.g. ...

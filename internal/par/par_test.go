@@ -195,133 +195,3 @@ func TestForChunksEdgeTable(t *testing.T) {
 		}
 	}
 }
-
-func TestPairScheduleBatchesAreNodeDisjoint(t *testing.T) {
-	// A dense, conflict-heavy pair list drawn from a fixed xorshift stream.
-	const n = 50
-	x := uint64(0x9e3779b97f4a7c15)
-	next := func(m int32) int32 {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		return int32(x % uint64(m))
-	}
-	var pairs []Pair
-	for i := 0; i < 400; i++ {
-		a := next(n)
-		b := next(n - 1)
-		if b >= a {
-			b++
-		}
-		pairs = append(pairs, Pair{a, b})
-	}
-	var s PairSchedule
-	s.Build(pairs, n)
-	if len(s.Order) != len(pairs) {
-		t.Fatalf("schedule covers %d pairs, want %d", len(s.Order), len(pairs))
-	}
-	seenPair := make([]bool, len(pairs))
-	lastBatchOf := make([]int, n)
-	for i := range lastBatchOf {
-		lastBatchOf[i] = -1
-	}
-	for b := 0; b < s.Batches(); b++ {
-		inBatch := map[int32]bool{}
-		for _, idx := range s.Order[s.Offsets[b]:s.Offsets[b+1]] {
-			if seenPair[idx] {
-				t.Fatalf("pair %d scheduled twice", idx)
-			}
-			seenPair[idx] = true
-			p := pairs[idx]
-			if inBatch[p.A] || inBatch[p.B] {
-				t.Fatalf("batch %d not node-disjoint at pair %d (%d,%d)", b, idx, p.A, p.B)
-			}
-			inBatch[p.A], inBatch[p.B] = true, true
-			lastBatchOf[p.A], lastBatchOf[p.B] = b, b
-		}
-	}
-	for i, ok := range seenPair {
-		if !ok {
-			t.Fatalf("pair %d missing from schedule", i)
-		}
-	}
-}
-
-func TestPairScheduleConflictingPairsKeepDrawOrder(t *testing.T) {
-	// Pairs sharing an endpoint must execute in draw order (monotone batch
-	// index), so each node's exchange sequence matches sequential execution.
-	pairs := []Pair{{0, 1}, {2, 3}, {1, 2}, {0, 3}, {0, 1}}
-	var s PairSchedule
-	s.Build(pairs, 4)
-	pos := make([]int, len(pairs)) // schedule position of each pair
-	batch := make([]int, len(pairs))
-	for b := 0; b < s.Batches(); b++ {
-		for o := s.Offsets[b]; o < s.Offsets[b+1]; o++ {
-			pos[s.Order[o]] = int(o)
-			batch[s.Order[o]] = b
-		}
-	}
-	for i := 0; i < len(pairs); i++ {
-		for j := i + 1; j < len(pairs); j++ {
-			pi, pj := pairs[i], pairs[j]
-			shared := pi.A == pj.A || pi.A == pj.B || pi.B == pj.A || pi.B == pj.B
-			if shared && batch[i] >= batch[j] {
-				t.Fatalf("conflicting pairs %d,%d in batches %d,%d (want strictly increasing)",
-					i, j, batch[i], batch[j])
-			}
-		}
-	}
-	// Greedy earliest-fit: the two disjoint leading pairs share batch 0.
-	if batch[0] != 0 || batch[1] != 0 {
-		t.Fatalf("disjoint pairs {0,1},{2,3} in batches %d,%d, want both 0", batch[0], batch[1])
-	}
-}
-
-func TestPairScheduleDeterministicAndReusable(t *testing.T) {
-	// Rebuilding (including after an interleaved build of a different list)
-	// must reproduce the same schedule — Build is a pure function of input.
-	mk := func(seed uint64, n, count int32) []Pair {
-		x := seed
-		var out []Pair
-		for i := int32(0); i < count; i++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			a := int32(x % uint64(n))
-			b := (a + 1 + int32((x>>32)%uint64(n-1))) % n
-			out = append(out, Pair{a, b})
-		}
-		return out
-	}
-	pa := mk(7, 30, 120)
-	pb := mk(99, 64, 50)
-	var s1, s2 PairSchedule
-	s1.Build(pa, 30)
-	ord := append([]int32(nil), s1.Order...)
-	off := append([]int32(nil), s1.Offsets...)
-	s1.Build(pb, 64) // dirty the scratch with a different shape
-	s1.Build(pa, 30)
-	s2.Build(pa, 30)
-	for i := range ord {
-		if s1.Order[i] != ord[i] || s2.Order[i] != ord[i] {
-			t.Fatalf("order diverged at %d: rebuild=%d fresh=%d first=%d",
-				i, s1.Order[i], s2.Order[i], ord[i])
-		}
-	}
-	if len(s1.Offsets) != len(off) {
-		t.Fatalf("batch count changed across rebuild: %d vs %d", len(s1.Offsets)-1, len(off)-1)
-	}
-	for i := range off {
-		if s1.Offsets[i] != off[i] {
-			t.Fatalf("offsets diverged at %d", i)
-		}
-	}
-}
-
-func TestPairScheduleEmpty(t *testing.T) {
-	var s PairSchedule
-	s.Build(nil, 10)
-	if s.Batches() != 0 || len(s.Order) != 0 {
-		t.Fatalf("empty pair list: %d batches, %d order entries", s.Batches(), len(s.Order))
-	}
-}

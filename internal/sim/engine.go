@@ -48,9 +48,7 @@ type Protocol interface {
 // other nodes' states, the cluster, the engine — are only READ, and no two
 // nodes' rounds observe each other's writes within the same pass. Protocols
 // that mutate peer state (push-pull gossip exchanges, Algorithm 3
-// consolidation moving VMs) must not declare it and always run sequentially
-// — unless they additionally implement PairRound, which parallelises exactly
-// those peer-mutating exchanges.
+// consolidation moving VMs) must not declare it and always run sequentially.
 //
 // Determinism is the caller's headline invariant: because each conforming
 // Round is self-contained and draws from per-node randomness, the round's
@@ -62,50 +60,6 @@ type ParallelRound interface {
 	// above. Wrappers delegate to the wrapped protocol; a plain protocol
 	// returns a constant true.
 	Parallelizable() bool
-}
-
-// PairRound is the opt-in contract for deterministic pair-sharded execution
-// of a protocol whose round is a sequence of pairwise exchanges (push-pull
-// gossip, Algorithm 3 consolidation). When Engine.PairSharded is set and the
-// protocol reports PairSharded(), the engine splits the round into two
-// phases: a sequential DRAW phase that walks the shuffled node order and
-// collects one (initiator, peer) pair per up node — consuming the protocol's
-// random streams in exactly the order the sequential Round path would — and
-// an EXECUTE phase that greedy-colors the pair list into batches of
-// node-disjoint pairs (par.PairSchedule) and fans each batch out over
-// ForChunks. The schedule depends only on the drawn pairs, never on the
-// worker count, so sharded execution is byte-identical at any worker count.
-//
-// RunPair must confine its writes to the two endpoint nodes' state (their
-// protocol states, their PMs' cluster columns, the pair's acct slot) and may
-// read shared structures only through race-safe paths; global accounting
-// must be diverted into per-pair slots (BeginPairs sizes them, idx addresses
-// them in draw order) and folded deterministically in EndPairs. RunPair must
-// not read other nodes' up-ness or state: batch barriers order conflicting
-// pairs, but nothing orders disjoint ones.
-//
-// Note the sharded semantics are a distinct reference point from sequential
-// Round execution: all draws observe the round-start state, whereas the
-// sequential path interleaves draws with exchange effects. Each mode is
-// internally deterministic; golden fingerprints pin them separately.
-type PairRound interface {
-	Protocol
-	// PairSharded reports whether Round decomposes into DrawPair/RunPair
-	// under the protocol's current configuration.
-	PairSharded() bool
-	// DrawPair performs initiator n's peer draw exactly as Round would
-	// (including node-local side effects such as view pruning or scratch
-	// resets) and returns the peer's node ID, or -1 for no exchange.
-	DrawPair(e *Engine, n *Node, round int) int
-	// BeginPairs announces the number of drawn pairs before execution so the
-	// protocol can size per-pair accounting.
-	BeginPairs(e *Engine, round, npairs int)
-	// RunPair executes the exchange of pair idx (its index in draw order)
-	// between initiator a and peer b.
-	RunPair(e *Engine, a, b *Node, round, idx int)
-	// EndPairs folds per-pair accounting back into shared state, in draw
-	// order, after all batches joined.
-	EndPairs(e *Engine, round int)
 }
 
 // Observer is called at the end of every completed round, after all
@@ -133,13 +87,6 @@ type Engine struct {
 	stopReq   bool
 	upCount   atomic.Int64
 
-	// Pair-sharded execution scratch and counters (see PairRound).
-	pairBuf     []par.Pair
-	pairSched   par.PairSchedule
-	pairRounds  int64 // protocol passes executed via the sharded path
-	pairBatches int64 // total batches across those passes
-	pairTotal   int64 // total pairs across those passes
-
 	// RoundPeriod is the virtual duration of one round. The paper uses
 	// 2-minute rounds; the default is 120 (seconds).
 	RoundPeriod int64
@@ -151,14 +98,6 @@ type Engine struct {
 	// explicit count > 1 is honored exactly (differential and race tests
 	// rely on that). Results are identical for every setting.
 	Workers int
-
-	// PairSharded enables the pair-sharded execution path for protocols that
-	// implement PairRound and report PairSharded(). Off by default: the
-	// sequential Round path stays the reference. Sharded execution is
-	// deterministic and byte-identical across worker counts, but is its own
-	// reference point (draws observe round-start state), so it is pinned by
-	// its own golden fingerprints.
-	PairSharded bool
 }
 
 // NewEngine builds an engine with n nodes, all initially up, seeded by seed.
@@ -203,9 +142,6 @@ func (e *Engine) UpCount() int { return int(e.upCount.Load()) }
 
 // SetUp switches node n on or off. Switched-off nodes do not execute
 // protocol rounds and are skipped by peer samplers that filter dead peers.
-// The shared counter is atomic so that pair-sharded consolidation batches
-// may power off their (node-disjoint) endpoints concurrently; the per-node
-// flag itself is only ever written by the node's own pair within a batch.
 func (e *Engine) SetUp(n *Node, up bool) {
 	if n.up == up {
 		return
@@ -252,12 +188,6 @@ func (e *Engine) Observe(o Observer) {
 // protocols observe the round's workload.
 func (e *Engine) BeforeRound(o Observer) {
 	e.pre = append(e.pre, o)
-}
-
-// PairStats returns the pair-sharded execution counters: sharded protocol
-// passes executed, total node-disjoint batches, and total pairs across them.
-func (e *Engine) PairStats() (passes, batches, pairs int64) {
-	return e.pairRounds, e.pairBatches, e.pairTotal
 }
 
 // State returns node n's state for the named protocol. It panics on unknown
@@ -334,12 +264,6 @@ func (e *Engine) RunRounds(rounds int) {
 			if (r-reg.from)%reg.every != 0 {
 				continue
 			}
-			if e.PairSharded {
-				if pp, ok := reg.proto.(PairRound); ok && pp.PairSharded() {
-					e.runPairsSharded(pp, order, r)
-					continue
-				}
-			}
 			if pr, ok := reg.proto.(ParallelRound); ok && pr.Parallelizable() {
 				e.runNodesParallel(reg.proto, order, r)
 				continue
@@ -361,44 +285,6 @@ func (e *Engine) RunRounds(rounds int) {
 	e.round = rounds
 	e.now = int64(rounds) * e.RoundPeriod
 	e.drainUntil(e.now)
-}
-
-// runPairsSharded executes one PairRound protocol pass: a sequential draw
-// phase over the shuffled order (consuming the protocol's random streams in
-// exactly the sequential path's order), then batch-wise parallel execution of
-// the node-disjoint pair schedule. The schedule and the per-batch barriers
-// depend only on the drawn pairs, so the pass is byte-identical at any worker
-// count.
-func (e *Engine) runPairsSharded(pp PairRound, order []*Node, r int) {
-	pairs := e.pairBuf[:0]
-	for _, n := range order {
-		if !n.up {
-			continue
-		}
-		peer := pp.DrawPair(e, n, r)
-		if peer < 0 {
-			continue
-		}
-		pairs = append(pairs, par.Pair{A: int32(n.ID), B: int32(peer)})
-	}
-	e.pairBuf = pairs
-	pp.BeginPairs(e, r, len(pairs))
-	e.pairSched.Build(pairs, len(e.nodes))
-	sched := &e.pairSched
-	for b := 0; b < sched.Batches(); b++ {
-		batch := sched.Order[sched.Offsets[b]:sched.Offsets[b+1]]
-		chunk := (len(batch) + 31) / 32
-		par.ForChunks(len(batch), chunk, e.Workers, func(lo, hi int) {
-			for _, idx := range batch[lo:hi] {
-				p := pairs[idx]
-				pp.RunPair(e, e.nodes[p.A], e.nodes[p.B], r, int(idx))
-			}
-		})
-	}
-	pp.EndPairs(e, r)
-	e.pairRounds++
-	e.pairBatches += int64(sched.Batches())
-	e.pairTotal += int64(len(pairs))
 }
 
 // runNodesParallel fans one ParallelRound protocol's pass over the shuffled

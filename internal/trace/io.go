@@ -76,7 +76,9 @@ func LoadCSV(r io.Reader) (*Set, error) {
 		if vm < 0 || round < 0 {
 			return nil, fmt.Errorf("trace: line %d: negative vm or round", line)
 		}
-		if cpu < 0 || cpu > 1 || mem < 0 || mem > 1 {
+		// Written as "inside" rather than "outside" so NaN, which fails
+		// every comparison, is rejected too.
+		if !(cpu >= 0 && cpu <= 1) || !(mem >= 0 && mem <= 1) {
 			return nil, fmt.Errorf("trace: line %d: utilisation out of [0,1]", line)
 		}
 		byVM[vm] = append(byVM[vm], cell{round, Sample{CPU: cpu, Mem: mem}})

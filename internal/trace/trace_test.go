@@ -193,6 +193,8 @@ func TestLoadCSVErrors(t *testing.T) {
 		"bad cpu":          "0,0,x,0.5\n",
 		"bad mem":          "0,0,0.5,x\n",
 		"cpu out of range": "0,0,1.5,0.5\n",
+		"NaN cpu":          "0,0,NaN,0.5\n",
+		"NaN mem":          "0,0,0.2,nan\n",
 		"negative vm":      "-1,0,0.5,0.5\n",
 		"sparse vm ids":    "0,0,0.5,0.5\n5,0,0.5,0.5\n",
 		"missing round":    "0,0,0.5,0.5\n0,2,0.5,0.5\n",

@@ -2,6 +2,7 @@ package glapsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -66,5 +67,28 @@ func TestRobustDefaults(t *testing.T) {
 	}
 	if len(cfg.DropProbs) == 0 || len(cfg.Latencies) == 0 {
 		t.Fatalf("grid defaults not filled: %+v", cfg)
+	}
+}
+
+// TestRobustGridWorkerCountInvariance replays the small robustness grid at
+// two replication worker budgets and requires the entire result — sync
+// reference and every async cell — to be equal.
+func TestRobustGridWorkerCountInvariance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("robust grid in -short mode")
+	}
+	run := func(workers int) *RobustResult {
+		res, err := RunRobust(RobustConfig{
+			PMs: 20, Ratio: 2, Rounds: 30, Reps: 2, Seed: 7,
+			DropProbs: []float64{0, 0.2}, Latencies: []int64{1, 30},
+			Workers: workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if a, b := run(1), run(8); !reflect.DeepEqual(a, b) {
+		t.Fatalf("robust grid diverged between Workers=1 and Workers=8:\n%+v\nvs\n%+v", a, b)
 	}
 }

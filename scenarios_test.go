@@ -181,3 +181,23 @@ func TestScenarioRowDeterminism(t *testing.T) {
 		t.Fatalf("scenario rerun changed fingerprint: %s vs %s", a[0].SeriesHash, b[0].SeriesHash)
 	}
 }
+
+// TestScenarioWorkerCountInvariance checks one scenario row's series hash is
+// worker-count invariant.
+func TestScenarioWorkerCountInvariance(t *testing.T) {
+	run := func(workers int) []ScenarioRow {
+		rows, err := RunScenarios(ScenarioConfig{
+			Sizes: []int{16}, Rounds: 20, Seed: 1, Workers: workers,
+			Scenarios: []Scenario{ScenarioHetero},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	a, b := run(1), run(8)
+	if a[0].SeriesHash != b[0].SeriesHash {
+		t.Fatalf("scenario hash diverged between Workers=1 (%s) and Workers=8 (%s)",
+			a[0].SeriesHash, b[0].SeriesHash)
+	}
+}
