@@ -10,14 +10,23 @@ import (
 	"github.com/glap-sim/glap/internal/dc"
 )
 
-// MinActivePMs packs every VM's current demand into bins of the cluster's PM
-// capacity with Best Fit Decreasing (decreasing CPU demand; best fit = the
-// feasible bin with the least remaining CPU) and returns the bin count. A
-// headroom of zero packs to full capacity; the paper's baseline packs
-// "without producing any SLA violation", i.e. strictly below saturation,
-// which a tiny positive headroom expresses.
+// MinActivePMs packs the current demand of every VM present in the cluster
+// into bins of the cluster's PM capacity with Best Fit Decreasing
+// (decreasing CPU demand; best fit = the feasible bin with the least
+// remaining CPU) and returns the bin count. VMs that have departed or not
+// yet arrived are not packed: they keep a stale demand (their last sample,
+// or their round-0 seed) that no machine has to serve. A headroom of zero
+// packs to full capacity; the paper's baseline packs "without producing any
+// SLA violation", i.e. strictly below saturation, which a tiny positive
+// headroom expresses.
 func MinActivePMs(c *dc.Cluster, headroom float64) int {
-	if len(c.VMs) == 0 {
+	demands := make([]dc.Vec, 0, len(c.VMs))
+	for _, vm := range c.VMs {
+		if vm.Present() {
+			demands = append(demands, vm.CurAbs())
+		}
+	}
+	if len(demands) == 0 {
 		return 0
 	}
 	// The oracle packs into bins of the first PM's capacity; on
@@ -29,10 +38,6 @@ func MinActivePMs(c *dc.Cluster, headroom float64) int {
 		limit[r] = capVec[r] * (1 - headroom)
 	}
 
-	demands := make([]dc.Vec, 0, len(c.VMs))
-	for _, vm := range c.VMs {
-		demands = append(demands, vm.CurAbs())
-	}
 	sort.Slice(demands, func(i, j int) bool {
 		return demands[i][dc.CPU] > demands[j][dc.CPU]
 	})

@@ -118,3 +118,42 @@ func TestMinActivePMsMemoryBound(t *testing.T) {
 		t.Fatalf("memory-bound packing = %d, want 3", got)
 	}
 }
+
+func TestMinActivePMsPacksOnlyPresentVMs(t *testing.T) {
+	// Eight VMs at 100% (500 MIPS each; five fit a 2660-MIPS bin). VMs 5
+	// and 6 depart at round 1 and VM 7 arrives only at round 5: at round 0
+	// seven VMs need two bins, at round 1 the five present ones fit in one.
+	// Counting the absent VMs' stale demand would keep two bins.
+	var b bytes.Buffer
+	b.WriteString("vm,round,cpu,mem\n")
+	for vm := 0; vm < 8; vm++ {
+		for r := 0; r < 2; r++ {
+			fmt.Fprintf(&b, "%d,%d,1,0.1\n", vm, r)
+		}
+	}
+	set, err := trace.LoadCSV(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := dc.New(dc.Config{PMs: 10, Workload: set})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lc := range [][3]int{{5, 0, 1}, {6, 0, 1}, {7, 5, -1}} {
+		if err := c.SetLifecycle(lc[0], lc[1], lc[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.PlaceRandom(sim.NewRNG(1).Intn)
+	c.AdvanceRound(0)
+	if got := MinActivePMs(c, 0); got != 2 {
+		t.Fatalf("round 0 packing = %d, want 2 (seven present VMs)", got)
+	}
+	c.AdvanceRound(1)
+	if !c.VMs[5].Departed() || !c.VMs[6].Departed() || c.VMs[7].Present() {
+		t.Fatal("setup: VMs 5 and 6 should have departed and VM 7 not arrived")
+	}
+	if got := MinActivePMs(c, 0); got != 1 {
+		t.Fatalf("round 1 packing = %d, want 1 (five present VMs)", got)
+	}
+}

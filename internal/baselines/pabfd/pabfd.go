@@ -2,7 +2,7 @@
 // Beloglazov & Buyya's PABFD ("Optimal online deterministic algorithms and
 // adaptive heuristics for energy and performance efficient dynamic
 // consolidation of virtual machines in cloud data centers", CCPE 2012). A
-// central controller monitors every host, derives a per-round adaptive upper
+// central controller monitors every host, derives a per-pass adaptive upper
 // CPU threshold from the Median Absolute Deviation (MAD) of recent host
 // utilisation history, sheds VMs from hosts above the threshold (Minimum
 // Migration Time selection), evacuates the least-utilised hosts, and places
@@ -10,7 +10,8 @@
 package pabfd
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/glap-sim/glap/internal/dc"
 	"github.com/glap-sim/glap/internal/policy"
@@ -18,13 +19,25 @@ import (
 )
 
 // Controller is the centralized PABFD manager. It is not a gossip protocol:
-// Install hooks it to run once per round with global knowledge.
+// Install hooks it to run one pass every Period rounds with global
+// knowledge.
+//
+// A pass only ever looks at powered hosts, so it keeps them in an ascending
+// ID list (rebuilt when the pass starts, updated on every power change the
+// pass makes) and walks that list instead of the whole fleet. Each host's
+// CurUtil is cached for the pass and refreshed for both endpoints after
+// every migration; the cluster's per-PM demand sums change only on
+// attach/detach, so the cache always holds exactly what CurUtil would
+// return. Candidates are visited in the same order, and every float is
+// computed with the same expression, as a full-fleet scan would, so the
+// migrations are identical.
 type Controller struct {
 	B *policy.Binding
 	// Safety is the MAD safety parameter s in T_u = 1 − s·MAD
 	// (Beloglazov's evaluation uses s = 2.5).
 	Safety float64
-	// HistoryLen bounds the per-host utilisation history window.
+	// HistoryLen bounds the per-host utilisation history window. It is read
+	// when the first pass sizes the history and must not change afterwards.
 	HistoryLen int
 	// FallbackThreshold is used until a host has enough history for a MAD
 	// estimate.
@@ -36,11 +49,35 @@ type Controller struct {
 	// structural disadvantage of centralized DVMC the paper highlights.
 	Period int
 
-	history [][]float64
+	// hist is one flat PMs × HistoryLen ring of CPU utilisation samples:
+	// host p's window is hist[p*HistoryLen:(p+1)*HistoryLen], histN[p]
+	// counts every sample recorded for it, and the next one overwrites slot
+	// histN[p] % HistoryLen. The MAD sorts a copy, so the ring's rotation
+	// never matters.
+	hist  []float64
+	histN []int
+	// madBuf is the MAD's scratch copy of one window.
+	madBuf []float64
+
+	// Per-pass state, indexed by PM ID and reused across passes.
+	on   []int32   // powered hosts, ascending
+	th   []float64 // thresholds; valid for the hosts in on
+	util []dc.Vec  // CurUtil; valid for the hosts in on
+	shed []bool    // above its threshold when the pass started
+
+	// Scratch reused across passes.
+	pending []*dc.VM
+	vms     []*dc.VM
+	ids     []int
+	order   []int32  // planPlacement's visiting order, as indexes into vms
+	plan    []int32  // planPlacement's destination per vms index
+	extra   []dc.Vec // demand a plan has already assigned to each host
+	touched []int32  // hosts whose extra is set
 }
 
-// Install wires a PABFD controller into engine e; it executes at the start
-// of every round, after workload demand is refreshed.
+// Install wires a PABFD controller into engine e. Its pass runs at the
+// start of every Period-th round (round % Period == 0; every round when
+// Period <= 1), after workload demand is refreshed.
 func Install(e *sim.Engine, b *policy.Binding) *Controller {
 	c := &Controller{
 		B:                 b,
@@ -49,7 +86,6 @@ func Install(e *sim.Engine, b *policy.Binding) *Controller {
 		FallbackThreshold: 0.8,
 		Period:            3,
 	}
-	c.history = make([][]float64, len(b.C.PMs))
 	e.BeforeRound(func(e *sim.Engine, round int) {
 		if c.Period > 1 && round%c.Period != 0 {
 			return
@@ -63,91 +99,127 @@ func Install(e *sim.Engine, b *policy.Binding) *Controller {
 // mitigate overloads, then consolidate underloaded hosts.
 func (c *Controller) Step(round int) {
 	cl := c.B.C
-	// 1. Record utilisation history for active hosts.
-	for _, pm := range cl.PMs {
-		if pm.On() {
-			c.history[pm.ID] = append(c.history[pm.ID], cl.CurUtil(pm)[dc.CPU])
-			if len(c.history[pm.ID]) > c.HistoryLen {
-				c.history[pm.ID] = c.history[pm.ID][1:]
-			}
-		}
-	}
-	th := make([]float64, len(cl.PMs))
-	for _, pm := range cl.PMs {
-		th[pm.ID] = c.threshold(pm.ID)
+	c.beginPass()
+
+	// 1. Record utilisation history for active hosts and derive their
+	// thresholds. A host powered on later in the pass gets its threshold
+	// then; history does not change within a pass.
+	for _, id := range c.on {
+		c.record(int(id), c.util[id][dc.CPU])
+		c.th[id] = c.threshold(int(id))
 	}
 
 	// 2. Overload mitigation: collect VMs from hosts above their threshold
-	// using Minimum Migration Time (smallest memory first).
-	var pending []*dc.VM
-	overloaded := make(map[int]bool)
-	for _, pm := range cl.PMs {
-		if !pm.On() {
+	// using Minimum Migration Time (smallest memory first), until the
+	// host's utilisation without the collected VMs is back under its
+	// threshold. The running subtraction is the same left-to-right sum a
+	// rescan of this host's collected VMs would compute.
+	c.pending = c.pending[:0]
+	for _, id := range c.on {
+		u, th := c.util[id][dc.CPU], c.th[id]
+		if u <= th {
 			continue
 		}
-		if cl.CurUtil(pm)[dc.CPU] <= th[pm.ID] {
-			continue
-		}
-		overloaded[pm.ID] = true
-		vms := c.B.VMsOf(pm)
-		sort.Slice(vms, func(i, j int) bool {
-			return vms[i].CurAbs()[dc.Mem] < vms[j].CurAbs()[dc.Mem]
+		c.shed[id] = true
+		pm := cl.PMs[id]
+		vms := c.vmsOf(pm)
+		slices.SortFunc(vms, func(a, b *dc.VM) int {
+			return cmp.Compare(a.CurAbs()[dc.Mem], b.CurAbs()[dc.Mem])
 		})
 		for _, vm := range vms {
-			if cl.CurUtil(pm)[dc.CPU] <= th[pm.ID] {
-				break
-			}
-			// Detach decision is made here; actual migration happens at
-			// placement. Model it as migrate-on-place: mark pending.
-			pending = append(pending, vm)
-			// Simulate removal for the threshold check by testing the
-			// utilisation without this VM.
-			if c.utilWithout(pm, pending) <= th[pm.ID] {
+			// Migrate-on-place: the VM stays attached until placement.
+			c.pending = append(c.pending, vm)
+			u -= vm.CurAbs()[dc.CPU] / pm.Spec.Capacity[dc.CPU]
+			if u <= th {
 				break
 			}
 		}
 	}
-	c.place(pending, th, overloaded)
+	c.place(c.pending)
 
 	// 3. Power off hosts that are already empty.
-	for _, pm := range cl.PMs {
-		if pm.On() && pm.NumVMs() == 0 {
-			_ = c.B.PowerOff(pm.ID)
+	k := 0
+	for _, id := range c.on {
+		if cl.PMs[id].NumVMs() == 0 && c.B.PowerOff(int(id)) == nil {
+			continue
 		}
+		c.on[k] = id
+		k++
 	}
+	c.on = c.on[:k]
 
 	// 4. Underload consolidation: repeatedly try to fully evacuate the
 	// least-utilised active host. The loop is bounded by the host count:
 	// each successful pass powers one host off.
 	for iter := 0; iter < len(cl.PMs); iter++ {
-		src := c.leastUtilisedEvacuable(th, overloaded)
+		src := c.leastUtilisedEvacuable()
 		if src == nil {
 			break
 		}
-		vms := c.B.VMsOf(src)
-		plan, ok := c.planPlacement(vms, th, map[int]bool{src.ID: true})
-		if !ok {
+		vms := c.vmsOf(src)
+		if !c.planPlacement(vms, src.ID) {
 			break
 		}
-		// Execute the plan in the stable VMsOf order: plan is keyed by
-		// pointer, and ranging over it directly would replay the migrations
-		// in an order that varies run to run.
-		for _, vm := range vms {
-			_ = cl.Migrate(vm, plan[vm])
+		// Execute the plan in the stable VMsOf order.
+		for i, vm := range vms {
+			c.migrate(vm, cl.PMs[c.plan[i]])
 		}
-		_ = c.B.TryPowerOffIfEmpty(src.ID)
+		if c.B.TryPowerOffIfEmpty(src.ID) {
+			c.removeOn(src.ID)
+		}
 	}
+}
+
+// beginPass sizes the per-PM state on first use and rebuilds the powered
+// list, the utilisation cache and the shed flags from the cluster.
+func (c *Controller) beginPass() {
+	cl := c.B.C
+	n := len(cl.PMs)
+	if len(c.util) != n {
+		c.initHistory(n)
+		c.th = make([]float64, n)
+		c.util = make([]dc.Vec, n)
+		c.shed = make([]bool, n)
+		c.extra = make([]dc.Vec, n)
+	}
+	c.on = c.on[:0]
+	for _, pm := range cl.PMs {
+		c.shed[pm.ID] = false
+		if pm.On() {
+			c.on = append(c.on, int32(pm.ID))
+			c.util[pm.ID] = cl.CurUtil(pm)
+		}
+	}
+}
+
+// initHistory allocates an empty history ring for n hosts.
+func (c *Controller) initHistory(n int) {
+	c.hist = make([]float64, n*max(c.HistoryLen, 0))
+	c.histN = make([]int, n)
+}
+
+// record appends utilisation sample u to host id's history window,
+// dropping the oldest sample once the window holds HistoryLen.
+func (c *Controller) record(id int, u float64) {
+	if c.HistoryLen <= 0 {
+		return
+	}
+	c.hist[id*c.HistoryLen+c.histN[id]%c.HistoryLen] = u
+	c.histN[id]++
 }
 
 // threshold returns host id's adaptive upper threshold T_u = 1 − s·MAD,
 // falling back to the static default while history is short. The result is
-// floored so pathological MADs cannot force the threshold to zero.
+// floored so pathological MADs cannot force the threshold to zero. It
+// allocates nothing once madBuf has grown to HistoryLen.
 func (c *Controller) threshold(id int) float64 {
-	h := c.history[id]
-	if len(h) < 10 {
+	n := min(c.histN[id], c.HistoryLen)
+	if n < 10 {
 		return c.FallbackThreshold
 	}
-	t := 1 - c.Safety*mad(h)
+	lo := id * c.HistoryLen
+	c.madBuf = append(c.madBuf[:0], c.hist[lo:lo+n]...)
+	t := 1 - c.Safety*mad(c.madBuf)
 	if t < 0.4 {
 		t = 0.4
 	}
@@ -157,41 +229,49 @@ func (c *Controller) threshold(id int) float64 {
 	return t
 }
 
-// mad returns the Median Absolute Deviation of xs.
+// mad returns the Median Absolute Deviation of xs. It overwrites xs with
+// the sorted absolute deviations.
 func mad(xs []float64) float64 {
 	m := median(xs)
-	dev := make([]float64, len(xs))
 	for i, x := range xs {
 		d := x - m
 		if d < 0 {
 			d = -d
 		}
-		dev[i] = d
+		xs[i] = d
 	}
-	return median(dev)
+	return median(xs)
 }
 
+// median returns the median of xs, sorting xs in place.
 func median(xs []float64) float64 {
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	n := len(s)
+	slices.Sort(xs)
+	n := len(xs)
 	if n%2 == 1 {
-		return s[n/2]
+		return xs[n/2]
 	}
-	return (s[n/2-1] + s[n/2]) / 2
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// utilWithout returns pm's CPU utilisation excluding the pending VMs still
-// attached to it.
-func (c *Controller) utilWithout(pm *dc.PM, pending []*dc.VM) float64 {
-	u := c.B.C.CurUtil(pm)[dc.CPU]
-	for _, vm := range pending {
-		if vm.Host() == pm.ID {
-			u -= vm.CurAbs()[dc.CPU] / pm.Spec.Capacity[dc.CPU]
-		}
+// vmsOf returns pm's VMs in ascending ID order in a buffer reused by the
+// next call.
+func (c *Controller) vmsOf(pm *dc.PM) []*dc.VM {
+	c.ids = pm.AppendVMIDs(c.ids[:0])
+	c.vms = c.vms[:0]
+	for _, id := range c.ids {
+		c.vms = append(c.vms, c.B.C.VMs[id])
 	}
-	return u
+	return c.vms
+}
+
+// migrate moves vm to dst and refreshes the utilisation cache of both
+// endpoints.
+func (c *Controller) migrate(vm *dc.VM, dst *dc.PM) {
+	cl := c.B.C
+	src := cl.PMs[vm.Host()]
+	_ = cl.Migrate(vm, dst)
+	c.util[src.ID] = cl.CurUtil(src)
+	c.util[dst.ID] = cl.CurUtil(dst)
 }
 
 // place runs Power-Aware Best Fit Decreasing over the pending VMs: VMs in
@@ -200,73 +280,103 @@ func (c *Controller) utilWithout(pm *dc.PM, pending []*dc.VM) float64 {
 // below its threshold and memory within capacity. When no active host fits,
 // an off host is powered on — the centralized controller, unlike the
 // distributed protocols, can reactivate machines.
-func (c *Controller) place(pending []*dc.VM, th []float64, exclude map[int]bool) {
-	cl := c.B.C
-	sort.Slice(pending, func(i, j int) bool {
-		return pending[i].CurAbs()[dc.CPU] > pending[j].CurAbs()[dc.CPU]
+func (c *Controller) place(pending []*dc.VM) {
+	slices.SortFunc(pending, func(a, b *dc.VM) int {
+		return cmp.Compare(b.CurAbs()[dc.CPU], a.CurAbs()[dc.CPU])
 	})
 	for _, vm := range pending {
-		dst := c.bestFit(vm, th, exclude)
+		dst := c.bestFit(vm)
 		if dst == nil {
 			dst = c.powerOnOne()
 		}
 		if dst == nil || dst.ID == vm.Host() {
 			continue
 		}
-		_ = cl.Migrate(vm, dst)
+		c.migrate(vm, dst)
 	}
 }
 
-// planPlacement computes destinations for all vms without performing the
-// migrations, so full-evacuation attempts are atomic. It accounts for the
-// capacity consumed by earlier VMs in the same plan.
-func (c *Controller) planPlacement(vms []*dc.VM, th []float64, exclude map[int]bool) (map[*dc.VM]*dc.PM, bool) {
+// planPlacement computes destinations for all vms into c.plan (indexed like
+// vms) without performing the migrations, so full-evacuation attempts are
+// atomic. It accounts for the capacity consumed by earlier VMs in the same
+// plan and never places on host exclude. It reports whether every VM found
+// a host.
+func (c *Controller) planPlacement(vms []*dc.VM, exclude int) bool {
 	cl := c.B.C
-	plan := make(map[*dc.VM]*dc.PM, len(vms))
-	extra := make(map[int]dc.Vec)
-	sorted := make([]*dc.VM, len(vms))
-	copy(sorted, vms)
-	sort.Slice(sorted, func(i, j int) bool {
-		return sorted[i].CurAbs()[dc.CPU] > sorted[j].CurAbs()[dc.CPU]
-	})
-	for _, vm := range sorted {
-		var best *dc.PM
-		var bestU float64
-		for _, pm := range cl.PMs {
-			if !pm.On() || exclude[pm.ID] || pm.ID == vm.Host() {
-				continue
-			}
-			u := cl.CurUtil(pm).Add(extra[pm.ID].Div(pm.Spec.Capacity))
-			after := u.Add(vm.CurAbs().Div(pm.Spec.Capacity))
-			if after[dc.CPU] > th[pm.ID] || after[dc.Mem] > 1 {
-				continue
-			}
-			if best == nil || after[dc.CPU] > bestU {
-				best, bestU = pm, after[dc.CPU]
-			}
-		}
-		if best == nil {
-			return nil, false
-		}
-		plan[vm] = best
-		extra[best.ID] = extra[best.ID].Add(vm.CurAbs())
+	c.order = c.order[:0]
+	for i := range vms {
+		c.order = append(c.order, int32(i))
 	}
-	return plan, true
+	slices.SortFunc(c.order, func(a, b int32) int {
+		return cmp.Compare(vms[b].CurAbs()[dc.CPU], vms[a].CurAbs()[dc.CPU])
+	})
+	c.plan = slices.Grow(c.plan[:0], len(vms))[:len(vms)]
+	ok := true
+	for _, i := range c.order {
+		vm := vms[i]
+		host, abs := vm.Host(), vm.CurAbs()
+		best := int32(-1)
+		var bestU float64
+		var capKey, d dc.Vec // d == abs.Div(capKey), also for the zero key
+		for _, id := range c.on {
+			if int(id) == exclude || int(id) == host {
+				continue
+			}
+			pm := cl.PMs[id]
+			if pm.Spec.Capacity != capKey {
+				capKey = pm.Spec.Capacity
+				d = abs.Div(capKey)
+			}
+			u := c.util[id]
+			if e := c.extra[id]; e != (dc.Vec{}) {
+				u = u.Add(e.Div(pm.Spec.Capacity))
+			}
+			after := u.Add(d)
+			if after[dc.CPU] > c.th[id] || after[dc.Mem] > 1 {
+				continue
+			}
+			if best < 0 || after[dc.CPU] > bestU {
+				best, bestU = id, after[dc.CPU]
+			}
+		}
+		if best < 0 {
+			ok = false
+			break
+		}
+		c.plan[i] = best
+		if c.extra[best] == (dc.Vec{}) {
+			c.touched = append(c.touched, best)
+		}
+		c.extra[best] = c.extra[best].Add(abs)
+	}
+	for _, id := range c.touched {
+		c.extra[id] = dc.Vec{}
+	}
+	c.touched = c.touched[:0]
+	return ok
 }
 
 // bestFit returns the powered host that can take vm with the least power
-// increase, preferring the fullest feasible host.
-func (c *Controller) bestFit(vm *dc.VM, th []float64, exclude map[int]bool) *dc.PM {
+// increase, preferring the fullest feasible host. Hosts shed this pass are
+// not candidates.
+func (c *Controller) bestFit(vm *dc.VM) *dc.PM {
 	cl := c.B.C
+	host, abs := vm.Host(), vm.CurAbs()
 	var best *dc.PM
 	var bestPower, bestU float64
-	for _, pm := range cl.PMs {
-		if !pm.On() || exclude[pm.ID] || pm.ID == vm.Host() {
+	var capKey, d dc.Vec // d == abs.Div(capKey), also for the zero key
+	for _, id := range c.on {
+		if c.shed[id] || int(id) == host {
 			continue
 		}
-		u := cl.CurUtil(pm)
-		after := u.Add(vm.CurAbs().Div(pm.Spec.Capacity))
-		if after[dc.CPU] > th[pm.ID] || after[dc.Mem] > 1 {
+		pm := cl.PMs[id]
+		if pm.Spec.Capacity != capKey {
+			capKey = pm.Spec.Capacity
+			d = abs.Div(capKey)
+		}
+		u := c.util[id]
+		after := u.Add(d)
+		if after[dc.CPU] > c.th[id] || after[dc.Mem] > 1 {
 			continue
 		}
 		dPower := (pm.Spec.PowerMaxW - pm.Spec.PowerIdleW) * (after[dc.CPU] - u[dc.CPU])
@@ -278,30 +388,46 @@ func (c *Controller) bestFit(vm *dc.VM, th []float64, exclude map[int]bool) *dc.
 }
 
 // powerOnOne reactivates the lowest-numbered off host, or returns nil when
-// every host is already on.
+// every host is already on. That host is the first gap in the ascending
+// powered list.
 func (c *Controller) powerOnOne() *dc.PM {
-	for _, pm := range c.B.C.PMs {
-		if !pm.On() {
-			c.B.PowerOn(pm.ID)
-			return pm
-		}
+	cl := c.B.C
+	i := 0
+	for i < len(c.on) && int(c.on[i]) == i {
+		i++
 	}
-	return nil
+	if i == len(cl.PMs) {
+		return nil
+	}
+	c.B.PowerOn(i)
+	c.on = slices.Insert(c.on, i, int32(i))
+	pm := cl.PMs[i]
+	c.util[i] = cl.CurUtil(pm)
+	c.th[i] = c.threshold(i)
+	return pm
+}
+
+// removeOn drops host id from the powered list.
+func (c *Controller) removeOn(id int) {
+	if i, found := slices.BinarySearch(c.on, int32(id)); found {
+		c.on = slices.Delete(c.on, i, i+1)
+	}
 }
 
 // leastUtilisedEvacuable returns the active host with the lowest CPU
-// utilisation that hosts at least one VM and was not overloaded this round,
-// or nil when none qualifies.
-func (c *Controller) leastUtilisedEvacuable(th []float64, overloaded map[int]bool) *dc.PM {
+// utilisation that hosts at least one VM and was not shed this pass, or nil
+// when none qualifies.
+func (c *Controller) leastUtilisedEvacuable() *dc.PM {
 	cl := c.B.C
 	var best *dc.PM
 	var bestU float64
-	for _, pm := range cl.PMs {
-		if !pm.On() || overloaded[pm.ID] || pm.NumVMs() == 0 {
+	for _, id := range c.on {
+		pm := cl.PMs[id]
+		if c.shed[id] || pm.NumVMs() == 0 {
 			continue
 		}
-		u := cl.CurUtil(pm)[dc.CPU]
-		if u > th[pm.ID] {
+		u := c.util[id][dc.CPU]
+		if u > c.th[id] {
 			continue
 		}
 		if best == nil || u < bestU {

@@ -63,26 +63,36 @@ func TestMedianAndMAD(t *testing.T) {
 	}
 }
 
+// setHistory replaces host 0's history window with xs, oldest first.
+func setHistory(c *Controller, xs []float64) {
+	c.initHistory(1)
+	for _, x := range xs {
+		c.record(0, x)
+	}
+}
+
 func TestThresholdBounds(t *testing.T) {
-	c := &Controller{Safety: 2.5, FallbackThreshold: 0.8, history: make([][]float64, 1)}
+	c := &Controller{Safety: 2.5, FallbackThreshold: 0.8, HistoryLen: 30}
 	// Short history: fallback.
-	c.history[0] = []float64{0.5, 0.5}
+	setHistory(c, []float64{0.5, 0.5})
 	if got := c.threshold(0); got != 0.8 {
 		t.Fatalf("short-history threshold = %g", got)
 	}
 	// Stable history: MAD ~ 0, threshold ~ 1 (the robust-statistic trap
 	// that lets PABFD pack to saturation).
-	c.history[0] = make([]float64, 20)
-	for i := range c.history[0] {
-		c.history[0][i] = 0.5
+	h := make([]float64, 20)
+	for i := range h {
+		h[i] = 0.5
 	}
+	setHistory(c, h)
 	if got := c.threshold(0); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("stable-history threshold = %g, want 1", got)
 	}
 	// Wild history: floored at 0.4.
-	for i := range c.history[0] {
-		c.history[0][i] = float64(i%2) * 0.9
+	for i := range h {
+		h[i] = float64(i%2) * 0.9
 	}
+	setHistory(c, h)
 	if got := c.threshold(0); got < 0.4-1e-9 {
 		t.Fatalf("threshold below floor: %g", got)
 	}
@@ -175,12 +185,10 @@ func TestPeriodSkipsRounds(t *testing.T) {
 	ctrl := Install(e, b)
 	ctrl.Period = 100 // only round 0 triggers
 	steps := 0
-	origHist := ctrl.history
-	_ = origHist
 	e.BeforeRound(func(e *sim.Engine, round int) {
 		// Count controller activity indirectly via history growth.
-		if len(ctrl.history[0]) > steps {
-			steps = len(ctrl.history[0])
+		if ctrl.histN[0] > steps {
+			steps = ctrl.histN[0]
 		}
 	})
 	e.RunRounds(5)

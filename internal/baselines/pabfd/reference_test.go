@@ -1,0 +1,311 @@
+package pabfd
+
+import (
+	"sort"
+
+	"github.com/glap-sim/glap/internal/dc"
+	"github.com/glap-sim/glap/internal/policy"
+	"github.com/glap-sim/glap/internal/sim"
+)
+
+// This file keeps the original map-based PABFD controller as a reference
+// oracle: every candidate scan walks the whole fleet, overload and plan
+// bookkeeping live in maps, and the MAD allocates per call. The production
+// Controller must reproduce its migrations bit for bit; the differential
+// test in reference_diff_test.go steps both side by side. Only identifiers
+// are renamed (Controller → refController, Install → installRef, mad →
+// refMad, median → refMedian) so both can live in one package.
+
+// refController is the centralized PABFD manager. It is not a gossip protocol:
+// installRef hooks it to run once per round with global knowledge.
+type refController struct {
+	B *policy.Binding
+	// Safety is the MAD safety parameter s in T_u = 1 − s·MAD
+	// (Beloglazov's evaluation uses s = 2.5).
+	Safety float64
+	// HistoryLen bounds the per-host utilisation history window.
+	HistoryLen int
+	// FallbackThreshold is used until a host has enough history for a MAD
+	// estimate.
+	FallbackThreshold float64
+	// Period is the controller's monitoring/optimisation period in rounds.
+	// Beloglazov's controller runs every 5 minutes while the simulation
+	// rounds are 2 minutes, so the default is 3 rounds: between controller
+	// passes, demand keeps moving and overloads persist unmitigated — the
+	// structural disadvantage of centralized DVMC the paper highlights.
+	Period int
+
+	history [][]float64
+}
+
+// installRef wires a PABFD controller into engine e; it executes at the start
+// of every round, after workload demand is refreshed.
+func installRef(e *sim.Engine, b *policy.Binding) *refController {
+	c := &refController{
+		B:                 b,
+		Safety:            2.5,
+		HistoryLen:        30,
+		FallbackThreshold: 0.8,
+		Period:            3,
+	}
+	c.history = make([][]float64, len(b.C.PMs))
+	e.BeforeRound(func(e *sim.Engine, round int) {
+		if c.Period > 1 && round%c.Period != 0 {
+			return
+		}
+		c.Step(round)
+	})
+	return c
+}
+
+// Step runs one full controller pass: record history, compute thresholds,
+// mitigate overloads, then consolidate underloaded hosts.
+func (c *refController) Step(round int) {
+	cl := c.B.C
+	// 1. Record utilisation history for active hosts.
+	for _, pm := range cl.PMs {
+		if pm.On() {
+			c.history[pm.ID] = append(c.history[pm.ID], cl.CurUtil(pm)[dc.CPU])
+			if len(c.history[pm.ID]) > c.HistoryLen {
+				c.history[pm.ID] = c.history[pm.ID][1:]
+			}
+		}
+	}
+	th := make([]float64, len(cl.PMs))
+	for _, pm := range cl.PMs {
+		th[pm.ID] = c.threshold(pm.ID)
+	}
+
+	// 2. Overload mitigation: collect VMs from hosts above their threshold
+	// using Minimum Migration Time (smallest memory first).
+	var pending []*dc.VM
+	overloaded := make(map[int]bool)
+	for _, pm := range cl.PMs {
+		if !pm.On() {
+			continue
+		}
+		if cl.CurUtil(pm)[dc.CPU] <= th[pm.ID] {
+			continue
+		}
+		overloaded[pm.ID] = true
+		vms := c.B.VMsOf(pm)
+		sort.Slice(vms, func(i, j int) bool {
+			return vms[i].CurAbs()[dc.Mem] < vms[j].CurAbs()[dc.Mem]
+		})
+		for _, vm := range vms {
+			if cl.CurUtil(pm)[dc.CPU] <= th[pm.ID] {
+				break
+			}
+			// Detach decision is made here; actual migration happens at
+			// placement. Model it as migrate-on-place: mark pending.
+			pending = append(pending, vm)
+			// Simulate removal for the threshold check by testing the
+			// utilisation without this VM.
+			if c.utilWithout(pm, pending) <= th[pm.ID] {
+				break
+			}
+		}
+	}
+	c.place(pending, th, overloaded)
+
+	// 3. Power off hosts that are already empty.
+	for _, pm := range cl.PMs {
+		if pm.On() && pm.NumVMs() == 0 {
+			_ = c.B.PowerOff(pm.ID)
+		}
+	}
+
+	// 4. Underload consolidation: repeatedly try to fully evacuate the
+	// least-utilised active host. The loop is bounded by the host count:
+	// each successful pass powers one host off.
+	for iter := 0; iter < len(cl.PMs); iter++ {
+		src := c.leastUtilisedEvacuable(th, overloaded)
+		if src == nil {
+			break
+		}
+		vms := c.B.VMsOf(src)
+		plan, ok := c.planPlacement(vms, th, map[int]bool{src.ID: true})
+		if !ok {
+			break
+		}
+		// Execute the plan in the stable VMsOf order: plan is keyed by
+		// pointer, and ranging over it directly would replay the migrations
+		// in an order that varies run to run.
+		for _, vm := range vms {
+			_ = cl.Migrate(vm, plan[vm])
+		}
+		_ = c.B.TryPowerOffIfEmpty(src.ID)
+	}
+}
+
+// threshold returns host id's adaptive upper threshold T_u = 1 − s·MAD,
+// falling back to the static default while history is short. The result is
+// floored so pathological MADs cannot force the threshold to zero.
+func (c *refController) threshold(id int) float64 {
+	h := c.history[id]
+	if len(h) < 10 {
+		return c.FallbackThreshold
+	}
+	t := 1 - c.Safety*refMad(h)
+	if t < 0.4 {
+		t = 0.4
+	}
+	if t > 1 {
+		t = 1
+	}
+	return t
+}
+
+// refMad returns the Median Absolute Deviation of xs.
+func refMad(xs []float64) float64 {
+	m := refMedian(xs)
+	dev := make([]float64, len(xs))
+	for i, x := range xs {
+		d := x - m
+		if d < 0 {
+			d = -d
+		}
+		dev[i] = d
+	}
+	return refMedian(dev)
+}
+
+func refMedian(xs []float64) float64 {
+	s := make([]float64, len(xs))
+	copy(s, xs)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// utilWithout returns pm's CPU utilisation excluding the pending VMs still
+// attached to it.
+func (c *refController) utilWithout(pm *dc.PM, pending []*dc.VM) float64 {
+	u := c.B.C.CurUtil(pm)[dc.CPU]
+	for _, vm := range pending {
+		if vm.Host() == pm.ID {
+			u -= vm.CurAbs()[dc.CPU] / pm.Spec.Capacity[dc.CPU]
+		}
+	}
+	return u
+}
+
+// place runs Power-Aware Best Fit Decreasing over the pending VMs: VMs in
+// decreasing current CPU demand, each to the active host with the least
+// power increase (ties: highest resulting utilisation) that keeps CPU at or
+// below its threshold and memory within capacity. When no active host fits,
+// an off host is powered on — the centralized controller, unlike the
+// distributed protocols, can reactivate machines.
+func (c *refController) place(pending []*dc.VM, th []float64, exclude map[int]bool) {
+	cl := c.B.C
+	sort.Slice(pending, func(i, j int) bool {
+		return pending[i].CurAbs()[dc.CPU] > pending[j].CurAbs()[dc.CPU]
+	})
+	for _, vm := range pending {
+		dst := c.bestFit(vm, th, exclude)
+		if dst == nil {
+			dst = c.powerOnOne()
+		}
+		if dst == nil || dst.ID == vm.Host() {
+			continue
+		}
+		_ = cl.Migrate(vm, dst)
+	}
+}
+
+// planPlacement computes destinations for all vms without performing the
+// migrations, so full-evacuation attempts are atomic. It accounts for the
+// capacity consumed by earlier VMs in the same plan.
+func (c *refController) planPlacement(vms []*dc.VM, th []float64, exclude map[int]bool) (map[*dc.VM]*dc.PM, bool) {
+	cl := c.B.C
+	plan := make(map[*dc.VM]*dc.PM, len(vms))
+	extra := make(map[int]dc.Vec)
+	sorted := make([]*dc.VM, len(vms))
+	copy(sorted, vms)
+	sort.Slice(sorted, func(i, j int) bool {
+		return sorted[i].CurAbs()[dc.CPU] > sorted[j].CurAbs()[dc.CPU]
+	})
+	for _, vm := range sorted {
+		var best *dc.PM
+		var bestU float64
+		for _, pm := range cl.PMs {
+			if !pm.On() || exclude[pm.ID] || pm.ID == vm.Host() {
+				continue
+			}
+			u := cl.CurUtil(pm).Add(extra[pm.ID].Div(pm.Spec.Capacity))
+			after := u.Add(vm.CurAbs().Div(pm.Spec.Capacity))
+			if after[dc.CPU] > th[pm.ID] || after[dc.Mem] > 1 {
+				continue
+			}
+			if best == nil || after[dc.CPU] > bestU {
+				best, bestU = pm, after[dc.CPU]
+			}
+		}
+		if best == nil {
+			return nil, false
+		}
+		plan[vm] = best
+		extra[best.ID] = extra[best.ID].Add(vm.CurAbs())
+	}
+	return plan, true
+}
+
+// bestFit returns the powered host that can take vm with the least power
+// increase, preferring the fullest feasible host.
+func (c *refController) bestFit(vm *dc.VM, th []float64, exclude map[int]bool) *dc.PM {
+	cl := c.B.C
+	var best *dc.PM
+	var bestPower, bestU float64
+	for _, pm := range cl.PMs {
+		if !pm.On() || exclude[pm.ID] || pm.ID == vm.Host() {
+			continue
+		}
+		u := cl.CurUtil(pm)
+		after := u.Add(vm.CurAbs().Div(pm.Spec.Capacity))
+		if after[dc.CPU] > th[pm.ID] || after[dc.Mem] > 1 {
+			continue
+		}
+		dPower := (pm.Spec.PowerMaxW - pm.Spec.PowerIdleW) * (after[dc.CPU] - u[dc.CPU])
+		if best == nil || dPower < bestPower || (dPower == bestPower && after[dc.CPU] > bestU) {
+			best, bestPower, bestU = pm, dPower, after[dc.CPU]
+		}
+	}
+	return best
+}
+
+// powerOnOne reactivates the lowest-numbered off host, or returns nil when
+// every host is already on.
+func (c *refController) powerOnOne() *dc.PM {
+	for _, pm := range c.B.C.PMs {
+		if !pm.On() {
+			c.B.PowerOn(pm.ID)
+			return pm
+		}
+	}
+	return nil
+}
+
+// leastUtilisedEvacuable returns the active host with the lowest CPU
+// utilisation that hosts at least one VM and was not overloaded this round,
+// or nil when none qualifies.
+func (c *refController) leastUtilisedEvacuable(th []float64, overloaded map[int]bool) *dc.PM {
+	cl := c.B.C
+	var best *dc.PM
+	var bestU float64
+	for _, pm := range cl.PMs {
+		if !pm.On() || overloaded[pm.ID] || pm.NumVMs() == 0 {
+			continue
+		}
+		u := cl.CurUtil(pm)[dc.CPU]
+		if u > th[pm.ID] {
+			continue
+		}
+		if best == nil || u < bestU {
+			best, bestU = pm, u
+		}
+	}
+	return best
+}
