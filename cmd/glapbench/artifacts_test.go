@@ -14,7 +14,6 @@ import (
 // reportTypes maps every committed report to the struct of the experiment
 // that writes it.
 var reportTypes = map[string]any{
-	learnReportFile:    new(learnReport),
 	scaleReportFile:    new(scaleReport),
 	scenarioReportFile: new(scenarioReport),
 }

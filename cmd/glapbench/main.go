@@ -16,6 +16,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"text/tabwriter"
@@ -27,13 +28,15 @@ import (
 // Default output paths of the experiments that write a committed report.
 // The artifact schema test decodes each committed file into its report type.
 const (
-	learnReportFile    = "BENCH_learn.json"
 	scaleReportFile    = "BENCH_scale.json"
 	scenarioReportFile = "BENCH_scenarios.json"
 )
 
+// experimentNames lists every name -exp accepts.
+var experimentNames = []string{"f5", "f6", "f7", "f8", "f9", "f10", "t1", "all", "robust", "scale", "scenarios"}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: f5, f6, f7, f8, f9, f10, t1, all, kernel (dense-vs-sparse hot-path comparison), robust (async consolidation under loss × latency), scale (per-stage wall time across cluster sizes and worker counts), learn (fused vs reference training-kernel comparison), or scenarios (crash-churn / hetero / topology / real-trace suite)")
+	exp := flag.String("exp", "all", "comma-separated experiments: f5, f6, f7, f8, f9, f10, t1, all (f5-f10 and t1), robust (async consolidation under loss × latency), scale (per-stage wall time across cluster sizes and worker counts), or scenarios (crash-churn / hetero / topology / real-trace suite)")
 	sizes := flag.String("sizes", "100", "comma-separated cluster sizes")
 	ratios := flag.String("ratios", "2,3,4", "comma-separated VM:PM ratios")
 	rounds := flag.Int("rounds", 240, "consolidation rounds (2 simulated minutes each)")
@@ -45,14 +48,25 @@ func main() {
 	lats := flag.String("lats", "1,30,90", "comma-separated one-way message latencies for -exp robust")
 	scaleOut := flag.String("scale-out", scaleReportFile, "output path for the -exp scale report")
 	scaleSizesFlag := flag.String("scale-sizes", "", "comma-separated cluster sizes for -exp scale (empty = built-in grid up to 20k PMs)")
-	learnOut := flag.String("learn-out", learnReportFile, "output path for the -exp learn report")
-	learnIters := flag.Int("learn-iters", 2_000_000, "training iterations per kernel measurement for -exp learn")
 	scenOut := flag.String("scen-out", scenarioReportFile, "output path for the -exp scenarios report")
 	scenSizes := flag.String("scen-sizes", "40,80", "comma-separated cluster sizes for -exp scenarios")
 	scenRounds := flag.Int("scen-rounds", 60, "consolidation rounds per scenario run for -exp scenarios")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+
+	want, err := parseExperiments(*exp)
+	if err != nil {
+		usageError(err)
+	}
+	sizeList, err := parseNonEmptyInts("sizes", *sizes)
+	if err != nil {
+		usageError(err)
+	}
+	ratioList, err := parseNonEmptyInts("ratios", *ratios)
+	if err != nil {
+		usageError(err)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -82,26 +96,15 @@ func main() {
 	}
 
 	grid := glapsim.Grid{
-		Sizes:   parseInts(*sizes),
-		Ratios:  parseInts(*ratios),
+		Sizes:   sizeList,
+		Ratios:  ratioList,
 		Rounds:  *rounds,
 		Reps:    *reps,
 		Seed:    *seed,
 		Workers: *workers,
 	}
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
 	all := want["all"]
-
-	if want["kernel"] {
-		runKernel(*seed)
-		if len(want) == 1 {
-			return
-		}
-	}
 
 	if want["scale"] {
 		// -scale-sizes wins; otherwise an explicitly passed -sizes selects
@@ -112,17 +115,10 @@ func main() {
 			sizesSet := false
 			flag.Visit(func(f *flag.Flag) { sizesSet = sizesSet || f.Name == "sizes" })
 			if sizesSet {
-				scaleGrid = parseInts(*sizes)
+				scaleGrid = sizeList
 			}
 		}
 		runScale(*seed, *scaleOut, scaleGrid)
-		if len(want) == 1 {
-			return
-		}
-	}
-
-	if want["learn"] {
-		runLearn(*seed, *learnIters, *learnOut)
 		if len(want) == 1 {
 			return
 		}
@@ -191,6 +187,44 @@ func main() {
 		}
 		fmt.Printf("\nwrote CSV files to %s\n", *csvDir)
 	}
+}
+
+// usageError reports a bad command line and exits with status 2.
+func usageError(err error) {
+	fmt.Fprintln(os.Stderr, "glapbench:", err)
+	os.Exit(2)
+}
+
+// parseExperiments splits a comma-separated -exp value into the set of
+// selected experiments. It rejects an empty selection and any name not in
+// experimentNames, so a misspelt or retired experiment fails instead of
+// running nothing.
+func parseExperiments(s string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, e := range strings.Split(s, ",") {
+		e = strings.TrimSpace(e)
+		if e == "" {
+			continue
+		}
+		if !slices.Contains(experimentNames, e) {
+			return nil, fmt.Errorf("-exp: unknown experiment %q (valid: %s)", e, strings.Join(experimentNames, ", "))
+		}
+		want[e] = true
+	}
+	if len(want) == 0 {
+		return nil, fmt.Errorf("-exp: no experiment named (valid: %s)", strings.Join(experimentNames, ", "))
+	}
+	return want, nil
+}
+
+// parseNonEmptyInts parses the integer list of flag name, which must hold at
+// least one value: the experiments index its first element.
+func parseNonEmptyInts(name, s string) ([]int, error) {
+	xs := parseInts(s)
+	if len(xs) == 0 {
+		return nil, fmt.Errorf("-%s %q: want at least one comma-separated integer", name, s)
+	}
+	return xs, nil
 }
 
 func parseInts(s string) []int {

@@ -19,7 +19,6 @@ import (
 	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/qlearn"
 	"github.com/glap-sim/glap/internal/sim"
-	"github.com/glap-sim/glap/internal/stats"
 	"github.com/glap-sim/glap/internal/trace"
 )
 
@@ -112,10 +111,6 @@ type scaleRow struct {
 	// tables (COW detach of one endpoint plus a full sets-equal average
 	// scan — the shape of every exchange in saturated aggregation gossip).
 	MergeNsPerPair float64 `json:"merge_ns_per_pair"`
-	// CosineNsPerSample times one φ^io cosine sample over the dense
-	// convergence vectors on the row's tier (13122 elements; the F32 tier
-	// scans half the bytes).
-	CosineNsPerSample float64 `json:"cosine_ns_per_sample"`
 
 	// HeapBytesPeak is the highest live-heap watermark (runtime.MemStats
 	// HeapAlloc) observed across the whole cell — build, pretrain,
@@ -203,9 +198,6 @@ func (hw *heapWatcher) Stop() uint64 {
 	return hw.peak
 }
 
-// microSink keeps the micro-benchmark loops below observable.
-var microSink float64
-
 // measureMergeNs times one steady-state pairwise merge over clones of the
 // converged tables: perturb one cell of a shared-backing endpoint, then
 // merge — a copy-on-write detach plus a full sets-equal average scan, the
@@ -219,29 +211,6 @@ func measureMergeNs(tables *glap.NodeTables) float64 {
 	for i := 0; i < iters; i++ {
 		q.Set(1, 2, float64(i))
 		qlearn.Unify(p, q)
-	}
-	return float64(time.Since(start).Nanoseconds()) / iters
-}
-
-// measureCosineNs times one dense φ^io cosine sample on the row's tier.
-func measureCosineNs(tables *glap.NodeTables, prec qlearn.Precision) float64 {
-	const iters = 200
-	if prec == qlearn.F32 {
-		a := append([]float32(nil), tables.IOVec32()...)
-		b := append([]float32(nil), a...)
-		b[0]++
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			microSink += stats.CosineAligned32(a, b)
-		}
-		return float64(time.Since(start).Nanoseconds()) / iters
-	}
-	a := append([]float64(nil), tables.IOVec()...)
-	b := append([]float64(nil), a...)
-	b[0]++
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		microSink += stats.CosineAligned(a, b)
 	}
 	return float64(time.Since(start).Nanoseconds()) / iters
 }
@@ -345,11 +314,10 @@ func runScaleCell(pms, workers int, seed uint64, w *trace.Set, prec qlearn.Preci
 	row.MetricsSec = time.Since(start).Seconds()
 	row.TotalSec = row.PretrainSec + row.ConsolidationSec + row.MetricsSec
 	row.SeriesHash = hashScaleSeries(series, energy)
-	// Micro-timings last, so their clone churn never pollutes the stage
-	// timings above (the heap watcher is still live, but the clones are two
+	// The merge micro-timing runs last, so its clone churn never pollutes
+	// the stage timings above (the heap watcher is still live, but the clones are two
 	// tables against a cluster-sized heap).
 	row.MergeNsPerPair = measureMergeNs(tables)
-	row.CosineNsPerSample = measureCosineNs(tables, prec)
 	row.HeapBytesPeak = hw.Stop()
 	return row, nil
 }
@@ -422,13 +390,13 @@ func runScale(seed uint64, outPath string, sizes []int) {
 			if row.MergeTotal > 0 {
 				fastRate = 100 * float64(row.MergeFastHits) / float64(row.MergeTotal)
 			}
-			fmt.Printf("pms=%-6d %s workers=%-2d pretrain=%7.2fs (learn=%7.2fs agg=%6.2fs) (%.2fx, %.2f allocs/iter, %.0f B/iter) consolidation=%6.2fs metrics=%6.3fs vals=%6.1fMB merge=%.0fns fast=%.0f%% cosine=%.0fns gogc=%d heap_peak=%6.1fMB (%.0f B/PM) hash=%s\n",
+			fmt.Printf("pms=%-6d %s workers=%-2d pretrain=%7.2fs (learn=%7.2fs agg=%6.2fs) (%.2fx, %.2f allocs/iter, %.0f B/iter) consolidation=%6.2fs metrics=%6.3fs vals=%6.1fMB merge=%.0fns fast=%.0f%% gogc=%d heap_peak=%6.1fMB (%.0f B/PM) hash=%s\n",
 				pms, row.Precision, row.Workers, row.PretrainSec,
 				row.PretrainLearnSec, row.PretrainAggSec, row.PretrainSpeedup,
 				row.PretrainAllocsPerIter, row.PretrainBytesPerIter,
 				row.ConsolidationSec, row.MetricsSec,
 				float64(row.ValueBytes)/(1<<20), row.MergeNsPerPair, fastRate,
-				row.CosineNsPerSample, row.GOGC,
+				row.GOGC,
 				float64(row.HeapBytesPeak)/(1<<20), float64(row.HeapBytesPeak)/float64(pms),
 				row.SeriesHash[:12])
 		}

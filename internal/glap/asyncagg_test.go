@@ -37,7 +37,7 @@ func runAsyncAgg(t *testing.T, nodes, learnRounds, aggRounds int, latency sim.La
 
 func TestAsyncAggConverges(t *testing.T) {
 	e := runAsyncAgg(t, 20, 20, 40, sim.ConstantLatency(10), 0, 41)
-	sim1 := gossip.AllPairsCosine(e, IOVector)
+	sim1 := gossip.AllPairsCosineDense(e, IOVectorDense)
 	if sim1 < 0.999 {
 		t.Fatalf("async aggregation similarity %g, want ~1", sim1)
 	}
@@ -60,7 +60,7 @@ func TestAsyncAggConvergesUnderLoss(t *testing.T) {
 	// 10% message loss: convergence slows but must still reach high
 	// similarity — averaging is a contraction even one-sided.
 	e := runAsyncAgg(t, 20, 20, 80, sim.ConstantLatency(5), 0.10, 43)
-	sim1 := gossip.AllPairsCosine(e, IOVector)
+	sim1 := gossip.AllPairsCosineDense(e, IOVectorDense)
 	if sim1 < 0.99 {
 		t.Fatalf("lossy async aggregation similarity %g, want > 0.99", sim1)
 	}
@@ -71,12 +71,12 @@ func TestAsyncAggMatchesSyncDirection(t *testing.T) {
 	// starting from the same learned tables, both drive similarity from
 	// well below 1 to ~1.
 	eAsync := runAsyncAgg(t, 16, 15, 0, sim.ConstantLatency(3), 0, 47)
-	before := gossip.AllPairsCosine(eAsync, IOVector)
+	before := gossip.AllPairsCosineDense(eAsync, IOVectorDense)
 	if before > 0.95 {
 		t.Skipf("learning phase already converged (%g); nothing to compare", before)
 	}
 	eAsync2 := runAsyncAgg(t, 16, 15, 40, sim.ConstantLatency(3), 0, 47)
-	after := gossip.AllPairsCosine(eAsync2, IOVector)
+	after := gossip.AllPairsCosineDense(eAsync2, IOVectorDense)
 	if after <= before {
 		t.Fatalf("async aggregation did not improve similarity: %g -> %g", before, after)
 	}

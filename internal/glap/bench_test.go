@@ -83,8 +83,8 @@ func BenchmarkConsolidationRound(b *testing.B) {
 	}
 }
 
-// BenchmarkIOVec measures the reusable dense φ^io fill that replaced the
-// per-sample IOFlat map build in convergence measurement.
+// BenchmarkIOVec measures the reusable dense φ^io fill that convergence
+// measurement runs on every node at every sample.
 func BenchmarkIOVec(b *testing.B) {
 	tb := &NodeTables{Out: qlearn.New(0.5, 0.8), In: qlearn.New(0.5, 0.8)}
 	for s := 0; s < 81; s++ {
@@ -97,22 +97,6 @@ func BenchmarkIOVec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = tb.IOVec()
-	}
-}
-
-// BenchmarkIOFlat is the retired map-based baseline for BenchmarkIOVec.
-func BenchmarkIOFlat(b *testing.B) {
-	tb := &NodeTables{Out: qlearn.New(0.5, 0.8), In: qlearn.New(0.5, 0.8)}
-	for s := 0; s < 81; s++ {
-		for a := 0; a < 81; a++ {
-			tb.Out.Set(qlearn.State(s), qlearn.Action(a), float64(s+a))
-			tb.In.Set(qlearn.State(s), qlearn.Action(a), float64(s-a))
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tb.IOFlat()
 	}
 }
 

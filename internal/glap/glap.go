@@ -8,7 +8,6 @@ import (
 	"github.com/glap-sim/glap/internal/dc"
 	"github.com/glap-sim/glap/internal/gossip"
 	"github.com/glap-sim/glap/internal/policy"
-	"github.com/glap-sim/glap/internal/qlearn"
 	"github.com/glap-sim/glap/internal/sim"
 )
 
@@ -95,15 +94,7 @@ func Pretrain(cfg Config, cl *dc.Cluster, seed uint64, opts PretrainOptions) (*P
 			if round%opts.MeasureEvery != 0 {
 				return
 			}
-			// F32 stacks measure over the narrow buffers directly; both
-			// branches consume one pair-draw sequence from measureRNG.
-			var sim1 float64
-			if cfg.Precision == qlearn.F32 {
-				sim1 = gossip.MeanPairwiseCosineDense32(e, IOVectorDense32, pairs, measureRNG)
-			} else {
-				sim1 = gossip.MeanPairwiseCosineDense(e, IOVectorDense, pairs, measureRNG)
-			}
-			res.Convergence = append(res.Convergence, sim1)
+			res.Convergence = append(res.Convergence, gossip.MeanPairwiseCosineDense(e, IOVectorDense, pairs, measureRNG))
 			res.ConvergenceRound = append(res.ConvergenceRound, round)
 		})
 	}

@@ -228,17 +228,29 @@ func TestSharedTables(t *testing.T) {
 	}
 }
 
-func TestIOFlatNamespaces(t *testing.T) {
+// TestIOVecNamespaces: an out-cell and an in-cell at the same (s, a) land
+// in different halves of the φ^io vector, so the two tables never collide.
+func TestIOVecNamespaces(t *testing.T) {
 	tb := &NodeTables{Out: qlearn.New(0.5, 0.8), In: qlearn.New(0.5, 0.8)}
 	tb.Out.Set(1, 1, 5)
 	tb.In.Set(1, 1, -3)
-	flat := tb.IOFlat()
-	if len(flat) != 2 {
-		t.Fatalf("in/out cells collided: %v", flat)
+	v := tb.IOVec()
+	if len(v) != IOVecLen {
+		t.Fatalf("IOVec length %d, want %d", len(v), IOVecLen)
 	}
-	if flat[IOKey{Key: qlearn.Key{S: 1, A: 1}}] != 5 ||
-		flat[IOKey{Key: qlearn.Key{S: 1, A: 1}, In: true}] != -3 {
-		t.Fatalf("flat values wrong: %v", flat)
+	half := IOVecLen / 2
+	cell := 1*ioSpan + 1
+	if v[cell] != 5 || v[half+cell] != -3 {
+		t.Fatalf("out-cell %v (want 5), in-cell %v (want -3)", v[cell], v[half+cell])
+	}
+	nonzero := 0
+	for _, x := range v {
+		if x != 0 {
+			nonzero++
+		}
+	}
+	if nonzero != 2 {
+		t.Fatalf("in/out cells collided: %d non-zero cells, want 2", nonzero)
 	}
 }
 

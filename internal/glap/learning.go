@@ -24,11 +24,8 @@ type NodeTables struct {
 
 	// ioVec is the node's reusable dense φ^io buffer, (re)filled by IOVec.
 	// Convergence measurement samples it every measured round, so the
-	// buffer is kept across samples instead of building a map each time.
-	// F32-tier stacks use ioVec32 instead, so measurement never
-	// materialises a whole-table float64 copy of float32 values.
-	ioVec   []float64
-	ioVec32 []float32
+	// buffer is kept across samples instead of being rebuilt each time.
+	ioVec []float64
 
 	// scratch holds the node's reusable training buffers. Keeping them in
 	// the per-node store (rather than on the protocol) preserves the
@@ -65,9 +62,9 @@ const IOVecLen = 2 * ioSpan * ioSpan
 // IOVec flattens both tables into one dense vector (the paper's
 // φ^io = φ^in ∪ φ^out) aligned over the calibrated space, reusing the
 // node's buffer. Out-cells occupy the first half and in-cells the second,
-// so the two tables never collide — the dense counterpart of IOFlat's key
-// namespacing. All NodeTables share one layout, so vectors from different
-// nodes feed straight into aligned-slice cosine similarity.
+// so the two tables never collide. All NodeTables share one layout, so
+// vectors from different nodes feed straight into aligned-slice cosine
+// similarity. F32 values widen exactly into the float64 buffer.
 func (t *NodeTables) IOVec() []float64 {
 	if t.ioVec == nil {
 		t.ioVec = make([]float64, IOVecLen)
@@ -75,53 +72,6 @@ func (t *NodeTables) IOVec() []float64 {
 	t.Out.FillDense(t.ioVec[:ioSpan*ioSpan], ioSpan, ioSpan)
 	t.In.FillDense(t.ioVec[ioSpan*ioSpan:], ioSpan, ioSpan)
 	return t.ioVec
-}
-
-// IOVec32 is the float32 counterpart of IOVec for F32-tier stacks: it
-// reads the float32 backings directly (and narrows any float64 cells),
-// keeping convergence measurement free of whole-table f64 materialisation
-// and halving the bytes each cosine scan touches.
-func (t *NodeTables) IOVec32() []float32 {
-	if t.ioVec32 == nil {
-		t.ioVec32 = make([]float32, IOVecLen)
-	}
-	t.Out.FillDense32(t.ioVec32[:ioSpan*ioSpan], ioSpan, ioSpan)
-	t.In.FillDense32(t.ioVec32[ioSpan*ioSpan:], ioSpan, ioSpan)
-	return t.ioVec32
-}
-
-// IOFlat flattens both tables into one sparse vector, namespacing in-cells
-// and out-cells so they never collide. It is retained as a compatibility
-// adapter for tests and map-based tooling; the measurement hot path uses
-// IOVec.
-func (t *NodeTables) IOFlat() map[IOKey]float64 {
-	out := make(map[IOKey]float64, t.Out.Len()+t.In.Len())
-	for k, v := range t.Out.Flat() {
-		out[IOKey{Key: k}] = v
-	}
-	for k, v := range t.In.Flat() {
-		out[IOKey{Key: k, In: true}] = v
-	}
-	return out
-}
-
-// IOKey namespaces a Q-table cell by table direction.
-type IOKey struct {
-	qlearn.Key
-	In bool
-}
-
-// profile is a VM workload profile exchanged during the learning phase:
-// current and average demand fractions plus the VM's nominal capacity. The
-// fused kernel works on the precomputed kernelProfile form; profile remains
-// the reference kernel's (and the paper's) exchange unit.
-type profile struct {
-	cur, avg dc.Vec
-	cap      dc.Vec
-}
-
-func profileOf(vm *dc.VM) profile {
-	return profile{cur: vm.CurDemand(), avg: vm.AvgDemand(), cap: vm.Spec.Capacity}
 }
 
 // kernelProfile is one collected VM profile in the fused kernel's
@@ -186,12 +136,6 @@ type LearnProtocol struct {
 	Cfg Config
 	B   *policy.Binding
 
-	// Reference selects the retired pre-fusion kernel (kept, like
-	// qlearn.Sparse, as a differential baseline — see learnref.go). Both
-	// kernels draw the identical random sequence, so a Reference run is
-	// comparable draw-for-draw with a fused run.
-	Reference bool
-
 	rng sim.BoundNodeRNG
 }
 
@@ -233,10 +177,6 @@ func (l *LearnProtocol) Round(e *sim.Engine, n *sim.Node, round int) {
 	pm := l.B.PM(n)
 	// Only lightly loaded PMs train, to avoid impacting collocated VMs.
 	if c.AvgUtil(pm)[dc.CPU] > l.Cfg.LearnUtilThreshold {
-		return
-	}
-	if l.Reference {
-		l.roundReference(e, n, rng, pm)
 		return
 	}
 

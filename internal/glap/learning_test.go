@@ -22,8 +22,12 @@ func runLearnPhase(t *testing.T, reference bool, pms, vms, rounds int, seed uint
 		t.Fatal(err)
 	}
 	e.Register(cyclon.New(8, 4))
-	learn := &LearnProtocol{Cfg: DefaultConfig(), B: b, Reference: reference}
-	e.Register(learn)
+	learn := &LearnProtocol{Cfg: DefaultConfig(), B: b}
+	if reference {
+		e.Register(refLearnProtocol{learn})
+	} else {
+		e.Register(learn)
+	}
 	e.RunRounds(rounds)
 	out := make([]*NodeTables, e.N())
 	for i, n := range e.Nodes() {
@@ -77,7 +81,12 @@ func TestLearnKernelDifferentialCurrentDemandOnly(t *testing.T) {
 		e.Register(cyclon.New(8, 4))
 		cfg := DefaultConfig()
 		cfg.CurrentDemandOnly = true
-		e.Register(&LearnProtocol{Cfg: cfg, B: b, Reference: reference})
+		learn := &LearnProtocol{Cfg: cfg, B: b}
+		if reference {
+			e.Register(refLearnProtocol{learn})
+		} else {
+			e.Register(learn)
+		}
 		e.RunRounds(25)
 		out := make([]*NodeTables, e.N())
 		for i, n := range e.Nodes() {

@@ -302,24 +302,3 @@ func TestFootprintValueBytes(t *testing.T) {
 		t.Fatal("valueBytes exceeds total bytes")
 	}
 }
-
-// TestFillDense32 mirrors FillDense for the narrow buffer: F32 tables copy
-// their backing directly, F64 tables narrow per cell, and unwritten cells
-// stay zero.
-func TestFillDense32(t *testing.T) {
-	for _, prec := range []Precision{F64, F32} {
-		tb := NewP(0.5, 0.8, prec)
-		tb.Set(0, 1, 0.1)
-		tb.Set(2, 3, -4.5)
-		dst := tb.FillDense32(make([]float32, DenseSpan*DenseSpan), DenseSpan, DenseSpan)
-		if len(dst) != DenseSpan*DenseSpan {
-			t.Fatalf("%v: FillDense32 len %d", prec, len(dst))
-		}
-		if dst[0*DenseSpan+1] != float32(0.1) || dst[2*DenseSpan+3] != -4.5 {
-			t.Fatalf("%v: FillDense32 wrong cells: %v %v", prec, dst[1], dst[2*DenseSpan+3])
-		}
-		if dst[0] != 0 || dst[DenseSpan*DenseSpan-1] != 0 {
-			t.Fatalf("%v: FillDense32 left junk in unwritten cells", prec)
-		}
-	}
-}

@@ -927,40 +927,6 @@ func (t *Table) FillDense(dst []float64, numS, numA int) []float64 {
 	return dst
 }
 
-// FillDense32 is FillDense into a float32 buffer — the convergence
-// measurement path of the F32 tier, which reads the vals32 arrays directly
-// instead of materialising whole tables as float64. On an F32 table every
-// copied value is exact; on an F64 table values are rounded into the buffer
-// (measurement-only narrowing, never written back).
-func (t *Table) FillDense32(dst []float32, numS, numA int) []float32 {
-	if len(dst) < numS*numA {
-		panic(fmt.Sprintf("qlearn: FillDense32 dst len %d < %d×%d", len(dst), numS, numA))
-	}
-	for i := range dst[:numS*numA] {
-		dst[i] = 0
-	}
-	if t.b == nil {
-		return dst
-	}
-	b := t.b
-	for i, ci := range b.idx {
-		s, a := int(ci)/DenseSpan, int(ci)%DenseSpan
-		if s < numS && a < numA {
-			if b.f32 {
-				dst[s*numA+a] = b.vals32[i]
-			} else {
-				dst[s*numA+a] = float32(b.vals[i])
-			}
-		}
-	}
-	for k, v := range b.over {
-		if int(k.S) < numS && int(k.A) < numA {
-			dst[int(k.S)*numA+int(k.A)] = float32(v)
-		}
-	}
-	return dst
-}
-
 // Clone returns a deep copy of the table with its own unshared backing.
 func (t *Table) Clone() *Table {
 	c := &Table{Alpha: t.Alpha, Gamma: t.Gamma, prec: t.prec}

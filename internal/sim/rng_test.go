@@ -265,7 +265,7 @@ func floatBernoulli(r *RNG, p float64) bool { return r.Float64() < p }
 // TestBernoulliThresholdEquivalence sweeps p over a dense grid plus
 // adversarial values and asserts the threshold compare is decision-identical
 // to `Float64() < p` over pinned RNG streams — the draw-sequence contract
-// that LearnProtocol{Reference: true} (and every golden fingerprint) relies
+// that the reference learning kernel (and every golden fingerprint) relies
 // on.
 func TestBernoulliThresholdEquivalence(t *testing.T) {
 	ps := []float64{

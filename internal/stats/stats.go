@@ -112,74 +112,17 @@ func Summarize(xs []float64) Summary {
 	}
 }
 
-// Cosine returns the cosine similarity of two equal-length vectors. It
-// returns 0 when either vector has zero norm and an error when the lengths
-// differ.
-func Cosine(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, errors.New("stats: cosine of vectors with different lengths")
-	}
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0, nil
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb)), nil
-}
-
 // CosineAligned returns the cosine similarity of two aligned equal-length
 // dense vectors, 0 when either has zero norm. It is the allocation-free hot
-// path of the convergence instrumentation: unlike Cosine it neither checks
-// lengths nor returns an error, so callers must pass slices laid out over
-// the same index space (it panics on a shorter b, like any slice misuse).
+// path of the convergence instrumentation: it neither checks lengths nor
+// returns an error, so callers must pass slices laid out over the same index
+// space (it panics on a shorter b, like any slice misuse).
 func CosineAligned(a, b []float64) float64 {
 	var dot, na, nb float64
 	for i, va := range a {
 		vb := b[i]
 		dot += va * vb
 		na += va * va
-		nb += vb * vb
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
-// CosineAligned32 is CosineAligned over float32 vectors: the inputs stay
-// narrow (half the bytes per scan — the point of the F32 Q-value tier) while
-// the dot product and norms accumulate in float64, so the result carries the
-// full accumulator precision of the float64 path over the same values.
-func CosineAligned32(a, b []float32) float64 {
-	var dot, na, nb float64
-	for i, x := range a {
-		va, vb := float64(x), float64(b[i])
-		dot += va * vb
-		na += va * va
-		nb += vb * vb
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
-// CosineMaps computes cosine similarity between two sparse vectors
-// represented as maps. Keys missing from one map contribute a zero
-// coordinate. Identical maps yield exactly 1 (up to float rounding).
-func CosineMaps[K comparable](a, b map[K]float64) float64 {
-	var dot, na, nb float64
-	for k, va := range a {
-		na += va * va
-		if vb, ok := b[k]; ok {
-			dot += va * vb
-		}
-	}
-	for _, vb := range b {
 		nb += vb * vb
 	}
 	if na == 0 || nb == 0 {

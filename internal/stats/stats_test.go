@@ -97,26 +97,19 @@ func TestSummaryPercentileOrder(t *testing.T) {
 	}
 }
 
-func TestCosine(t *testing.T) {
-	got, err := Cosine([]float64{1, 0}, []float64{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, got, 0, 1e-12, "orthogonal")
-	got, _ = Cosine([]float64{1, 2, 3}, []float64{2, 4, 6})
-	almost(t, got, 1, 1e-12, "parallel")
-	got, _ = Cosine([]float64{1, 1}, []float64{-1, -1})
-	almost(t, got, -1, 1e-12, "antiparallel")
-	got, _ = Cosine([]float64{0, 0}, []float64{1, 2})
-	if got != 0 {
+func TestCosineAligned(t *testing.T) {
+	almost(t, CosineAligned([]float64{1, 0}, []float64{0, 1}), 0, 1e-12, "orthogonal")
+	almost(t, CosineAligned([]float64{1, 2, 3}, []float64{2, 4, 6}), 1, 1e-12, "parallel")
+	almost(t, CosineAligned([]float64{1, 1}, []float64{-1, -1}), -1, 1e-12, "antiparallel")
+	if got := CosineAligned([]float64{0, 0}, []float64{1, 2}); got != 0 {
 		t.Fatalf("zero vector cosine = %g, want 0", got)
 	}
-	if _, err := Cosine([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("expected length mismatch error")
+	if got := CosineAligned(nil, nil); got != 0 {
+		t.Fatalf("empty vector cosine = %g, want 0", got)
 	}
 }
 
-func TestCosineSelfIsOne(t *testing.T) {
+func TestCosineAlignedSelfIsOne(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))
 		for _, x := range raw {
@@ -124,10 +117,7 @@ func TestCosineSelfIsOne(t *testing.T) {
 				xs = append(xs, x)
 			}
 		}
-		c, err := Cosine(xs, xs)
-		if err != nil {
-			return false
-		}
+		c := CosineAligned(xs, xs)
 		nonZero := false
 		for _, x := range xs {
 			if x != 0 {
@@ -144,34 +134,22 @@ func TestCosineSelfIsOne(t *testing.T) {
 	}
 }
 
-func TestCosineMaps(t *testing.T) {
-	a := map[string]float64{"x": 1, "y": 2}
-	b := map[string]float64{"x": 1, "y": 2}
-	almost(t, CosineMaps(a, b), 1, 1e-12, "identical maps")
-
-	c := map[string]float64{"z": 5}
-	almost(t, CosineMaps(a, c), 0, 1e-12, "disjoint maps")
-
-	if CosineMaps(map[string]float64{}, a) != 0 {
-		t.Fatal("empty map should give 0")
-	}
-}
-
-func TestCosineMapsRange(t *testing.T) {
+func TestCosineAlignedRange(t *testing.T) {
 	// Restrict coordinates to |v| < 1e150 so the squared norms stay finite;
 	// Q-values in this codebase are O(100).
-	f := func(a, b map[int8]float64) bool {
-		for k, v := range a {
+	clean := func(xs []float64) {
+		for i, v := range xs {
 			if math.IsNaN(v) || math.Abs(v) >= 1e150 {
-				delete(a, k)
+				xs[i] = 0
 			}
 		}
-		for k, v := range b {
-			if math.IsNaN(v) || math.Abs(v) >= 1e150 {
-				delete(b, k)
-			}
-		}
-		c := CosineMaps(a, b)
+	}
+	f := func(a, b []float64) bool {
+		n := min(len(a), len(b))
+		a, b = a[:n], b[:n]
+		clean(a)
+		clean(b)
+		c := CosineAligned(a, b)
 		return c >= -1.0000001 && c <= 1.0000001
 	}
 	if err := quick.Check(f, nil); err != nil {
