@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -55,16 +56,17 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	want, err := parseExperiments(*exp)
-	if err != nil {
-		usageError(err)
-	}
-	sizeList, err := parseNonEmptyInts("sizes", *sizes)
-	if err != nil {
-		usageError(err)
-	}
-	ratioList, err := parseNonEmptyInts("ratios", *ratios)
-	if err != nil {
+	// Every list flag is parsed before anything runs, whether or not the
+	// selected experiments read it, so a bad value never surfaces halfway
+	// through a long run.
+	want, expErr := parseExperiments(*exp)
+	sizeList, sizesErr := parseNonEmptyInts("sizes", *sizes)
+	ratioList, ratiosErr := parseNonEmptyInts("ratios", *ratios)
+	dropList, dropsErr := parseNonEmptyFloats("drops", *drops)
+	latList, latsErr := parseNonEmptyInt64s("lats", *lats)
+	scenSizeList, scenSizesErr := parseNonEmptyInts("scen-sizes", *scenSizes)
+	scaleGrid, scaleSizesErr := parseInts("scale-sizes", *scaleSizesFlag)
+	if err := errors.Join(expErr, sizesErr, ratiosErr, dropsErr, latsErr, scenSizesErr, scaleSizesErr); err != nil {
 		usageError(err)
 	}
 
@@ -110,7 +112,6 @@ func main() {
 		// -scale-sizes wins; otherwise an explicitly passed -sizes selects
 		// the subset (so `-exp scale -sizes 500,2000` works like every other
 		// experiment), and with neither the built-in grid up to 20k runs.
-		scaleGrid := parseInts(*scaleSizesFlag)
 		if len(scaleGrid) == 0 {
 			sizesSet := false
 			flag.Visit(func(f *flag.Flag) { sizesSet = sizesSet || f.Name == "sizes" })
@@ -125,7 +126,7 @@ func main() {
 	}
 
 	if want["scenarios"] {
-		runScenarios(*seed, *scenRounds, *workers, parseInts(*scenSizes), *scenOut)
+		runScenarios(*seed, *scenRounds, *workers, scenSizeList, *scenOut)
 		if len(want) == 1 {
 			return
 		}
@@ -138,8 +139,8 @@ func main() {
 			Rounds:    *rounds,
 			Reps:      *reps,
 			Seed:      *seed,
-			DropProbs: parseFloats(*drops),
-			Latencies: parseInt64s(*lats),
+			DropProbs: dropList,
+			Latencies: latList,
 			Workers:   *workers,
 		})
 		if len(want) == 1 {
@@ -217,30 +218,45 @@ func parseExperiments(s string) (map[string]bool, error) {
 	return want, nil
 }
 
-// parseNonEmptyInts parses the integer list of flag name, which must hold at
-// least one value: the experiments index its first element.
-func parseNonEmptyInts(name, s string) ([]int, error) {
-	xs := parseInts(s)
-	if len(xs) == 0 {
-		return nil, fmt.Errorf("-%s %q: want at least one comma-separated integer", name, s)
-	}
-	return xs, nil
-}
-
-func parseInts(s string) []int {
-	var out []int
+// parseList parses the comma-separated list of flag name, skipping empty
+// items. An item parse rejects is an error naming the flag.
+func parseList[T any](name, s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, f := range strings.Split(s, ",") {
 		f = strings.TrimSpace(f)
 		if f == "" {
 			continue
 		}
-		v, err := strconv.Atoi(f)
+		v, err := parse(f)
 		if err != nil {
-			log.Fatalf("bad integer list %q: %v", s, err)
+			return nil, fmt.Errorf("-%s %q: %v", name, s, err)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
+}
+
+// parseNonEmpty is parseList for a flag that must hold at least one value:
+// the experiments index or range over it, and an empty list would silently
+// fall back to nothing.
+func parseNonEmpty[T any](name, s string, parse func(string) (T, error)) ([]T, error) {
+	xs, err := parseList(name, s, parse)
+	if err == nil && len(xs) == 0 {
+		err = fmt.Errorf("-%s %q: want at least one comma-separated value", name, s)
+	}
+	return xs, err
+}
+
+func parseInts(name, s string) ([]int, error) { return parseList(name, s, strconv.Atoi) }
+
+func parseNonEmptyInts(name, s string) ([]int, error) { return parseNonEmpty(name, s, strconv.Atoi) }
+
+func parseNonEmptyFloats(name, s string) ([]float64, error) {
+	return parseNonEmpty(name, s, func(f string) (float64, error) { return strconv.ParseFloat(f, 64) })
+}
+
+func parseNonEmptyInt64s(name, s string) ([]int64, error) {
+	return parseNonEmpty(name, s, func(f string) (int64, error) { return strconv.ParseInt(f, 10, 64) })
 }
 
 func runF5(grid glapsim.Grid) []*glapsim.ConvergenceResult {

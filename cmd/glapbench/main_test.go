@@ -18,11 +18,12 @@ func TestParseInts(t *testing.T) {
 		{"100,200,300", []int{100, 200, 300}},
 		{" 1 , 2 ", []int{1, 2}},
 		{"5,", []int{5}},
+		{"", nil}, // -scale-sizes "": the built-in grid
 	}
 	for _, tc := range cases {
-		got := parseInts(tc.in)
-		if len(got) != len(tc.want) {
-			t.Fatalf("parseInts(%q) = %v", tc.in, got)
+		got, err := parseInts("scale-sizes", tc.in)
+		if err != nil || len(got) != len(tc.want) {
+			t.Fatalf("parseInts(%q) = %v, %v", tc.in, got, err)
 		}
 		for i := range got {
 			if got[i] != tc.want[i] {
@@ -67,11 +68,25 @@ func TestParseNonEmptyInts(t *testing.T) {
 			t.Fatalf("parseNonEmptyInts(%q) error = %v, want one naming -ratios", in, err)
 		}
 	}
+	// Malformed items are errors naming the flag, for every element type.
+	if _, err := parseInts("scale-sizes", "1x"); err == nil || !strings.Contains(err.Error(), "-scale-sizes") {
+		t.Fatalf("parseInts(\"1x\") error = %v", err)
+	}
+	if _, err := parseNonEmptyFloats("drops", "0,abc"); err == nil || !strings.Contains(err.Error(), "-drops") {
+		t.Fatalf("parseNonEmptyFloats(\"0,abc\") error = %v", err)
+	}
+	if _, err := parseNonEmptyInt64s("lats", "1,2.5"); err == nil || !strings.Contains(err.Error(), "-lats") {
+		t.Fatalf("parseNonEmptyInt64s(\"1,2.5\") error = %v", err)
+	}
+	if got, err := parseNonEmptyFloats("drops", "0, 0.2"); err != nil || len(got) != 2 || got[1] != 0.2 {
+		t.Fatalf("parseNonEmptyFloats(\"0, 0.2\") = %v, %v", got, err)
+	}
 }
 
 // TestMainRejectsBadCommandLine runs the command in a child process and
-// checks that an unknown experiment and an empty grid list exit with status
-// 2 and a usage message before any experiment starts.
+// checks that an unknown experiment, an empty list and a malformed number in
+// any list flag exit with status 2 and a usage message before any
+// experiment starts.
 func TestMainRejectsBadCommandLine(t *testing.T) {
 	if args := os.Getenv("GLAPBENCH_TEST_ARGS"); args != "" {
 		os.Args = append([]string{"glapbench"}, strings.Split(args, "\x1f")...)
@@ -79,28 +94,39 @@ func TestMainRejectsBadCommandLine(t *testing.T) {
 		os.Exit(0)
 	}
 	for _, tc := range []struct {
+		name string
 		args []string
 		msg  string
 	}{
-		{[]string{"-exp", "learn"}, `unknown experiment`},
-		{[]string{"-exp", "kernel"}, `unknown experiment`},
-		{[]string{"-exp", "robust", "-sizes", ""}, "-sizes"},
-		{[]string{"-exp", "f5", "-ratios", ","}, "-ratios"},
+		{"exp-learn", []string{"-exp", "learn"}, `unknown experiment`},
+		{"exp-kernel", []string{"-exp", "kernel"}, `unknown experiment`},
+		{"empty-sizes", []string{"-exp", "robust", "-sizes", ""}, "-sizes"},
+		{"empty-ratios", []string{"-exp", "f5", "-ratios", ","}, "-ratios"},
+		{"empty-drops", []string{"-exp", "robust", "-sizes", "10", "-ratios", "2", "-rounds", "5", "-reps", "1", "-drops", ""}, "-drops"},
+		{"empty-lats", []string{"-exp", "robust", "-sizes", "10", "-ratios", "2", "-rounds", "5", "-reps", "1", "-lats", ""}, "-lats"},
+		{"empty-scen-sizes", []string{"-exp", "scenarios", "-scen-sizes", ""}, "-scen-sizes"},
+		{"malformed-sizes", []string{"-exp", "f5", "-sizes", "1x"}, "-sizes"},
+		{"malformed-drops", []string{"-exp", "robust", "-drops", "abc"}, "-drops"},
+		{"malformed-scale-sizes", []string{"-exp", "scale", "-scale-sizes", "5,x"}, "-scale-sizes"},
+		// -drops is parsed before -exp scenarios runs, not after.
+		{"drops-parsed-before-scenarios", []string{"-exp", "scenarios,robust", "-scen-sizes", "8", "-drops", "abc"}, "-drops"},
 	} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestMainRejectsBadCommandLine$")
-		cmd.Env = append(os.Environ(), "GLAPBENCH_TEST_ARGS="+strings.Join(tc.args, "\x1f"))
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		err := cmd.Run()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Fatalf("glapbench %q: err %v, want exit status 2", tc.args, err)
-		}
-		if !strings.Contains(stderr.String(), tc.msg) {
-			t.Fatalf("glapbench %q: stderr %q does not mention %q", tc.args, stderr.String(), tc.msg)
-		}
-		if stdout.Len() != 0 {
-			t.Fatalf("glapbench %q ran before rejecting its arguments: %q", tc.args, stdout.String())
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-test.run=^TestMainRejectsBadCommandLine$")
+			cmd.Env = append(os.Environ(), "GLAPBENCH_TEST_ARGS="+strings.Join(tc.args, "\x1f"))
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("glapbench %q: err %v, want exit status 2", tc.args, err)
+			}
+			if !strings.Contains(stderr.String(), tc.msg) {
+				t.Fatalf("glapbench %q: stderr %q does not mention %q", tc.args, stderr.String(), tc.msg)
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("glapbench %q ran before rejecting its arguments: %q", tc.args, stdout.String())
+			}
+		})
 	}
 }

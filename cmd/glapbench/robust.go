@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 	"text/tabwriter"
 
 	glapsim "github.com/glap-sim/glap"
@@ -34,36 +32,4 @@ func runRobust(cfg glapsim.RobustConfig) {
 			c.Dropped, c.Sent, c.LeakedReservations)
 	}
 	w.Flush()
-}
-
-func parseFloats(s string) []float64 {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			log.Fatalf("bad float list %q: %v", s, err)
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func parseInt64s(s string) []int64 {
-	var out []int64
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			log.Fatalf("bad integer list %q: %v", s, err)
-		}
-		out = append(out, v)
-	}
-	return out
 }

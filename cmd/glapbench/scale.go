@@ -56,12 +56,6 @@ type scaleRow struct {
 	// when the run was taken on a throttled or single-core host.
 	envMeta
 
-	// Precision is the Q-value storage tier the row ran on ("f64"/"f32").
-	// F32 rows form their own hash-equivalence class: rounded Q-values
-	// legitimately produce a different decision series, which must still be
-	// byte-identical across worker counts.
-	Precision string `json:"precision"`
-
 	PretrainSec      float64 `json:"pretrain_sec"`
 	ConsolidationSec float64 `json:"consolidation_sec"`
 	MetricsSec       float64 `json:"metrics_sec"`
@@ -102,9 +96,9 @@ type scaleRow struct {
 	PretrainSpeedup float64 `json:"pretrain_speedup"`
 
 	// ValueBytes is the post-pretrain Q-value storage across every node's
-	// tables — capacity of the pooled value arrays, charged 8 B/slot on the
-	// F64 tier and 4 B/slot on F32. It is the term of the memory floor the
-	// precision tier halves, measured rather than projected.
+	// tables — capacity of the pooled value arrays, charged 8 B/slot — the
+	// dominant term of the Q-store's memory floor, measured rather than
+	// projected.
 	ValueBytes int64 `json:"value_bytes"`
 
 	// MergeNsPerPair times one steady-state pairwise merge on the converged
@@ -215,15 +209,14 @@ func measureMergeNs(tables *glap.NodeTables) float64 {
 	return float64(time.Since(start).Nanoseconds()) / iters
 }
 
-// runScaleCell executes one full reduced GLAP experiment at the given size,
-// worker count and Q-value precision tier, timing each stage.
-func runScaleCell(pms, workers int, seed uint64, w *trace.Set, prec qlearn.Precision) (scaleRow, error) {
+// runScaleCell executes one full reduced GLAP experiment at the given size
+// and worker count, timing each stage.
+func runScaleCell(pms, workers int, seed uint64, w *trace.Set) (scaleRow, error) {
 	row := scaleRow{
 		PMs: pms, VMs: pms * scaleRatio, Workers: workers,
-		envMeta:   currentEnv(),
-		Precision: prec.String(),
+		envMeta: currentEnv(),
 	}
-	cfg := glap.Config{LearnRounds: scaleLearnRounds, AggRounds: scaleAggRounds, Precision: prec}
+	cfg := glap.Config{LearnRounds: scaleLearnRounds, AggRounds: scaleAggRounds}
 	opts := glap.PretrainOptions{Workers: workers}
 
 	build := func() (*dc.Cluster, error) {
@@ -384,14 +377,32 @@ func runScale(seed uint64, outPath string, sizes []int) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		emit := func(row scaleRow) {
+		// One row per worker count. The hash class is checked here, at
+		// generation time: every row shares one fingerprint, and
+		// PretrainSpeedup is relative to the workers=1 row.
+		var basePretrain float64
+		var baseHash string
+		for _, wk := range workers {
+			row, err := runScaleCell(pms, wk, seed, w)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if wk == 1 {
+				basePretrain, baseHash = row.PretrainSec, row.SeriesHash
+			}
+			if basePretrain > 0 {
+				row.PretrainSpeedup = basePretrain / row.PretrainSec
+			}
+			if baseHash != "" && row.SeriesHash != baseHash {
+				log.Fatalf("scale: series hash diverged at pms=%d workers=%d", pms, wk)
+			}
 			rep.Rows = append(rep.Rows, row)
 			fastRate := 0.0
 			if row.MergeTotal > 0 {
 				fastRate = 100 * float64(row.MergeFastHits) / float64(row.MergeTotal)
 			}
-			fmt.Printf("pms=%-6d %s workers=%-2d pretrain=%7.2fs (learn=%7.2fs agg=%6.2fs) (%.2fx, %.2f allocs/iter, %.0f B/iter) consolidation=%6.2fs metrics=%6.3fs vals=%6.1fMB merge=%.0fns fast=%.0f%% gogc=%d heap_peak=%6.1fMB (%.0f B/PM) hash=%s\n",
-				pms, row.Precision, row.Workers, row.PretrainSec,
+			fmt.Printf("pms=%-6d workers=%-2d pretrain=%7.2fs (learn=%7.2fs agg=%6.2fs) (%.2fx, %.2f allocs/iter, %.0f B/iter) consolidation=%6.2fs metrics=%6.3fs vals=%6.1fMB merge=%.0fns fast=%.0f%% gogc=%d heap_peak=%6.1fMB (%.0f B/PM) hash=%s\n",
+				pms, row.Workers, row.PretrainSec,
 				row.PretrainLearnSec, row.PretrainAggSec, row.PretrainSpeedup,
 				row.PretrainAllocsPerIter, row.PretrainBytesPerIter,
 				row.ConsolidationSec, row.MetricsSec,
@@ -399,57 +410,6 @@ func runScale(seed uint64, outPath string, sizes []int) {
 				row.GOGC,
 				float64(row.HeapBytesPeak)/(1<<20), float64(row.HeapBytesPeak)/float64(pms),
 				row.SeriesHash[:12])
-		}
-
-		// F64 reference rows across the worker list. The hash class is
-		// checked here, at generation time: every row shares one
-		// fingerprint.
-		var f64Pretrain float64
-		var f64Heap uint64
-		var f64Hash string
-		for _, wk := range workers {
-			row, err := runScaleCell(pms, wk, seed, w, qlearn.F64)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if wk == 1 {
-				f64Pretrain, f64Hash, f64Heap = row.PretrainSec, row.SeriesHash, row.HeapBytesPeak
-			}
-			if f64Pretrain > 0 {
-				row.PretrainSpeedup = f64Pretrain / row.PretrainSec
-			}
-			if f64Hash != "" && row.SeriesHash != f64Hash {
-				log.Fatalf("scale: series hash diverged at pms=%d workers=%d", pms, wk)
-			}
-			emit(row)
-		}
-		// F32 value-tier rows: the F64 class re-run on the narrow
-		// tier. The tier keeps its own hash class — rounded Q-values may
-		// legitimately flip near-tie decisions against the F64 series — and
-		// that class must itself be byte-identical across worker counts.
-		// PretrainSpeedup is relative to the F32 workers=1 row, so the
-		// column keeps meaning "parallel speedup", not "tier speedup".
-		var f32Pretrain float64
-		var f32Hash string
-		for _, wk := range workers {
-			row, err := runScaleCell(pms, wk, seed, w, qlearn.F32)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if wk == 1 {
-				f32Pretrain, f32Hash = row.PretrainSec, row.SeriesHash
-				if f64Heap > 0 {
-					fmt.Printf("pms=%-6d f32 heap_bytes_peak vs f64: %.1f%% reduction\n",
-						pms, 100*(1-float64(row.HeapBytesPeak)/float64(f64Heap)))
-				}
-			}
-			if f32Hash != "" && row.SeriesHash != f32Hash {
-				log.Fatalf("scale: f32 series hash diverged at pms=%d workers=%d", pms, wk)
-			}
-			if f32Pretrain > 0 {
-				row.PretrainSpeedup = f32Pretrain / row.PretrainSec
-			}
-			emit(row)
 		}
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")

@@ -2,6 +2,9 @@ package glap
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -109,8 +112,69 @@ func TestLoadTablesErrors(t *testing.T) {
 		"bad inner":   `{"version":1,"out":{"version":1,"alpha":9,"gamma":0.5},"in":{"version":1,"alpha":0.5,"gamma":0.5}}`,
 	}
 	for name, in := range cases {
-		if _, err := LoadTables(strings.NewReader(in)); err == nil {
-			t.Fatalf("case %q: expected error", name)
-		}
+		t.Run(name, func(t *testing.T) {
+			if _, err := LoadTables(strings.NewReader(in)); err == nil {
+				t.Fatal("expected error")
+			}
+		})
 	}
+}
+
+// TestRetiredV2DocumentsRejected feeds the table codec and the Q-store loader
+// version-2 table documents, which recorded a value-storage tier that no
+// longer exists: the committed fuzz seeds that carry "precision":"f32", and
+// one that spells out "f64". Each must fail with an error naming the
+// version, never panic and never yield a table.
+func TestRetiredV2DocumentsRejected(t *testing.T) {
+	const v2f64 = `{"version":2,"precision":"f64","alpha":0.5,"gamma":0.8,"cells":[{"s":1,"a":2,"q":3.25}]}`
+	decode := func(b []byte) error {
+		_, err := qlearn.Decode(bytes.NewReader(b))
+		return err
+	}
+	load := func(b []byte) error {
+		_, err := LoadTables(bytes.NewReader(b))
+		return err
+	}
+	qlearnSeeds := filepath.Join("..", "qlearn", "testdata", "fuzz", "FuzzDecode")
+	glapSeeds := filepath.Join("testdata", "fuzz", "FuzzLoadTables")
+	cases := []struct {
+		name  string
+		read  func(b []byte) error
+		input []byte
+	}{
+		{"Decode/small-f32", decode, readFuzzSeed(t, filepath.Join(qlearnSeeds, "small-f32"))},
+		{"Decode/f32-overflow", decode, readFuzzSeed(t, filepath.Join(qlearnSeeds, "f32-overflow"))},
+		{"Decode/v2-f64", decode, []byte(v2f64)},
+		{"LoadTables/trained-f32", load, readFuzzSeed(t, filepath.Join(glapSeeds, "trained-f32"))},
+		{"LoadTables/f32-overflow", load, readFuzzSeed(t, filepath.Join(glapSeeds, "f32-overflow"))},
+		{"LoadTables/v2-f64", load, []byte(`{"version":1,"trained":true,"out":` + v2f64 + `,"in":` + v2f64 + `}`)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.read(c.input); err == nil || !strings.Contains(err.Error(), "version 2") {
+				t.Errorf("error = %v, want one naming version 2", err)
+			}
+		})
+	}
+}
+
+// readFuzzSeed returns the single []byte argument of a committed fuzz corpus
+// file ("go test fuzz v1" format).
+func readFuzzSeed(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, arg, _ := strings.Cut(strings.TrimSpace(string(data)), "\n")
+	lit, ok := strings.CutPrefix(arg, "[]byte(")
+	lit, ok2 := strings.CutSuffix(lit, ")")
+	if header != "go test fuzz v1" || !ok || !ok2 {
+		t.Fatalf("%s: not a one-argument []byte corpus file", path)
+	}
+	s, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(s)
 }

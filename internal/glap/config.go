@@ -1,10 +1,6 @@
 package glap
 
-import (
-	"fmt"
-
-	"github.com/glap-sim/glap/internal/qlearn"
-)
+import "fmt"
 
 // Config parameterises the GLAP stack. Zero-valued fields take the defaults
 // of DefaultConfig.
@@ -40,13 +36,6 @@ type Config struct {
 	// The paper pre-trains for 700 rounds total.
 	LearnRounds int
 	AggRounds   int
-
-	// Precision selects the Q-value storage tier for every table in the
-	// stack (learning kernel, merges, snapshots, checkpoints, and the
-	// dense φ^io convergence vectors). The zero value is qlearn.F64, the
-	// bit-exact default; qlearn.F32 halves the value-memory floor at the
-	// cost of one rounding step per stored update (see DESIGN.md §7).
-	Precision qlearn.Precision
 
 	// CurrentDemandOnly is an ablation switch: when set, pre-action states
 	// and actions are calibrated from *current* instead of *average* VM
@@ -131,9 +120,6 @@ func (c Config) Validate() error {
 	}
 	if c.LearnRounds < 0 || c.AggRounds < 0 {
 		return fmt.Errorf("glap: negative phase lengths")
-	}
-	if c.Precision > qlearn.F32 {
-		return fmt.Errorf("glap: unknown precision tier %d", c.Precision)
 	}
 	return nil
 }

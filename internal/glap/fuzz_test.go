@@ -9,7 +9,8 @@ import (
 // LoadTables must never panic, and any store it accepts must re-encode
 // stably: SaveTables → LoadTables → SaveTables yields identical bytes. The
 // seed corpus under testdata/fuzz/FuzzLoadTables holds small SaveTables
-// outputs of both precision tiers.
+// outputs and stores embedding retired version-2 table documents, which
+// LoadTables must reject (see TestRetiredV2DocumentsRejected).
 func FuzzLoadTables(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := LoadTables(bytes.NewReader(data))

@@ -46,8 +46,8 @@ func (t *NodeTables) Clone() *NodeTables {
 func NewNodeTables(cfg Config) *NodeTables {
 	cfg = cfg.withDefaults()
 	return &NodeTables{
-		Out: qlearn.NewP(cfg.Alpha, cfg.Gamma, cfg.Precision),
-		In:  qlearn.NewP(cfg.Alpha, cfg.Gamma, cfg.Precision),
+		Out: qlearn.New(cfg.Alpha, cfg.Gamma),
+		In:  qlearn.New(cfg.Alpha, cfg.Gamma),
 	}
 }
 
@@ -64,7 +64,7 @@ const IOVecLen = 2 * ioSpan * ioSpan
 // node's buffer. Out-cells occupy the first half and in-cells the second,
 // so the two tables never collide. All NodeTables share one layout, so
 // vectors from different nodes feed straight into aligned-slice cosine
-// similarity. F32 values widen exactly into the float64 buffer.
+// similarity.
 func (t *NodeTables) IOVec() []float64 {
 	if t.ioVec == nil {
 		t.ioVec = make([]float64, IOVecLen)
@@ -153,8 +153,8 @@ func (l *LearnProtocol) Parallelizable() bool { return true }
 // Setup creates the node's empty Q store.
 func (l *LearnProtocol) Setup(e *sim.Engine, n *sim.Node) any {
 	return &NodeTables{
-		Out: qlearn.NewP(l.Cfg.Alpha, l.Cfg.Gamma, l.Cfg.Precision),
-		In:  qlearn.NewP(l.Cfg.Alpha, l.Cfg.Gamma, l.Cfg.Precision),
+		Out: qlearn.New(l.Cfg.Alpha, l.Cfg.Gamma),
+		In:  qlearn.New(l.Cfg.Alpha, l.Cfg.Gamma),
 	}
 }
 

@@ -3,10 +3,12 @@ package glap
 // Property-style tests on invariants of the learned Q-values.
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/glap-sim/glap/internal/cyclon"
 	"github.com/glap-sim/glap/internal/policy"
+	"github.com/glap-sim/glap/internal/qlearn"
 	"github.com/glap-sim/glap/internal/sim"
 )
 
@@ -100,5 +102,92 @@ func TestLearningIsDeterministic(t *testing.T) {
 				t.Fatalf("node %d out cell %v differs", i, k)
 			}
 		}
+	}
+}
+
+// cellRanges holds, per calibrated cell, whether any node holds it and the
+// min and max of its value over the nodes that do.
+type cellRanges struct {
+	held   [ioSpan * ioSpan]bool
+	lo, hi [ioSpan * ioSpan]float64
+}
+
+// collectRanges fills r from every node's table (table picks Out or In).
+func collectRanges(t *testing.T, e *sim.Engine, table func(*NodeTables) *qlearn.Table, r *cellRanges) {
+	*r = cellRanges{}
+	for _, n := range e.Nodes() {
+		tb := table(TablesOf(e, n))
+		for _, k := range tb.Keys() {
+			if int(k.S) >= ioSpan || int(k.A) >= ioSpan {
+				t.Fatalf("cell %v outside the calibrated space", k)
+			}
+			i, v := int(k.S)*ioSpan+int(k.A), tb.Get(k.S, k.A)
+			if !r.held[i] {
+				r.held[i], r.lo[i], r.hi[i] = true, v, v
+			}
+			r.lo[i], r.hi[i] = min(r.lo[i], v), max(r.hi[i], v)
+		}
+	}
+}
+
+// TestAggregationContractsCellRanges checks an exact invariant of
+// Algorithm 2: from the learn→aggregate boundary on, a merge either copies an
+// existing value (adoption) or writes the float64 midpoint of two values,
+// which lies within them. So for every cell of Out and In, the max over its
+// holders never increases and the min never decreases, round after round,
+// and no cell appears that no node held at the boundary. The engine is built
+// as Pretrain builds it.
+func TestAggregationContractsCellRanges(t *testing.T) {
+	tables := []struct {
+		name string
+		get  func(*NodeTables) *qlearn.Table
+	}{
+		{"Out", func(nt *NodeTables) *qlearn.Table { return nt.Out }},
+		{"In", func(nt *NodeTables) *qlearn.Table { return nt.In }},
+	}
+	for seed := uint64(1); seed <= 5; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			cl := genCluster(t, 24, 72, 120, seed)
+			cfg := Config{LearnRounds: 40, AggRounds: 40}.withDefaults()
+			e := sim.NewEngine(len(cl.PMs), seed)
+			b, err := policy.Bind(e, cl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Register(cyclon.New(0, 0))
+			e.RegisterWindow(&LearnProtocol{Cfg: cfg, B: b}, 1, 0, cfg.LearnRounds-1)
+			e.RegisterWindow(&AggProtocol{}, 1, cfg.LearnRounds, cfg.LearnRounds+cfg.AggRounds-1)
+
+			var prev, cur [2]cellRanges
+			checks := 0
+			e.Observe(func(e *sim.Engine, round int) {
+				if round < cfg.LearnRounds-1 {
+					return
+				}
+				for ti, tb := range tables {
+					collectRanges(t, e, tb.get, &cur[ti])
+					if round >= cfg.LearnRounds {
+						p, c := &prev[ti], &cur[ti]
+						for i, held := range c.held {
+							switch {
+							case !held:
+								continue
+							case !p.held[i]:
+								t.Errorf("seed %d round %d %s cell %d: appeared during aggregation", seed, round, tb.name, i)
+							case c.hi[i] > p.hi[i] || c.lo[i] < p.lo[i]:
+								t.Errorf("seed %d round %d %s cell %d: range [%v, %v] escaped [%v, %v]",
+									seed, round, tb.name, i, c.lo[i], c.hi[i], p.lo[i], p.hi[i])
+							}
+							checks++
+						}
+					}
+				}
+				prev = cur
+			})
+			e.RunRounds(cfg.LearnRounds + cfg.AggRounds)
+			if checks == 0 {
+				t.Fatalf("seed %d: no cell was checked", seed)
+			}
+		})
 	}
 }

@@ -89,8 +89,8 @@ func BenchmarkUnifySparse(b *testing.B) {
 
 // disjointPair builds a merge pair with no shared cells (300 each, union
 // 600) — the worst case for mergeTables: a full union build every time.
-func disjointPair(prec Precision) (*Table, *Table) {
-	p, q := NewP(0.5, 0.8, prec), NewP(0.5, 0.8, prec)
+func disjointPair() (*Table, *Table) {
+	p, q := New(0.5, 0.8), New(0.5, 0.8)
 	for i := 0; i < 300; i++ {
 		p.Set(State(i/81), Action(i%81), float64(i+1))
 		j := i + 3000
@@ -123,7 +123,7 @@ func benchMerge(b *testing.B, p, q *Table) {
 	}
 }
 
-// BenchmarkMergeTables covers mergeTables' regimes on both precision tiers:
+// BenchmarkMergeTables covers mergeTables' regimes:
 //
 //	aligned  — converged steady state: both cell sets alias one canonical
 //	    interned array, values differ → the pointer-equality fast path
@@ -131,29 +131,27 @@ func benchMerge(b *testing.B, p, q *Table) {
 //	shared   — the pair already shares one backing: pure pointer compare.
 //	disjoint — no common cells: the general unionScan + unionBuild path.
 func BenchmarkMergeTables(b *testing.B) {
-	for _, prec := range []Precision{F64, F32} {
-		b.Run("aligned/"+prec.String(), func(b *testing.B) {
-			p := alignedTable(b, prec, 1)
-			q := alignedTable(b, prec, 2)
-			if &p.b.idx[0] != &q.b.idx[0] {
-				b.Fatal("setup did not produce aligned canonical backings")
-			}
-			benchMerge(b, p, q)
-		})
-		b.Run("shared/"+prec.String(), func(b *testing.B) {
-			p, q := fastPathPair(prec, 1)
-			Unify(p, q)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				Merge(p, q)
-			}
-		})
-		b.Run("disjoint/"+prec.String(), func(b *testing.B) {
-			p, q := disjointPair(prec)
-			benchMerge(b, p, q)
-		})
-	}
+	b.Run("aligned", func(b *testing.B) {
+		p := alignedTable(b, 1)
+		q := alignedTable(b, 2)
+		if &p.b.idx[0] != &q.b.idx[0] {
+			b.Fatal("setup did not produce aligned canonical backings")
+		}
+		benchMerge(b, p, q)
+	})
+	b.Run("shared", func(b *testing.B) {
+		p, q := fastPathPair(1)
+		Unify(p, q)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			Merge(p, q)
+		}
+	})
+	b.Run("disjoint", func(b *testing.B) {
+		p, q := disjointPair()
+		benchMerge(b, p, q)
+	})
 }
 
 // BenchmarkEqual measures the cheap-exit pre-check AggProtocol runs before

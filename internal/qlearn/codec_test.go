@@ -63,54 +63,19 @@ func TestCodecEmptyTable(t *testing.T) {
 	}
 }
 
-func TestCodecPrecision(t *testing.T) {
-	// F64 tables must keep writing the version-1 envelope with no
-	// precision field: default-tier checkpoints stay byte-compatible with
-	// every pre-tier reader and writer.
-	var b64 bytes.Buffer
-	f64 := New(0.5, 0.8)
-	f64.Set(1, 2, 3.25)
-	if err := f64.Encode(&b64); err != nil {
+// TestEncodeV1Envelope pins the encoded bytes of a small table: the
+// version-1 envelope every committed checkpoint uses.
+func TestEncodeV1Envelope(t *testing.T) {
+	tb := New(0.5, 0.8)
+	tb.Set(4, 5, 0.1)
+	tb.Set(1, 2, 3.25)
+	var buf bytes.Buffer
+	if err := tb.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if s := b64.String(); strings.Contains(s, "precision") || !strings.Contains(s, `"version":1`) {
-		t.Fatalf("F64 envelope changed: %s", s)
-	}
-
-	// F32 tables round-trip through the version-2 envelope with the tier
-	// and every (already-rounded) value preserved exactly.
-	f32 := NewP(0.5, 0.8, F32)
-	f32.Set(1, 2, 3.25)
-	f32.Set(4, 5, 0.1) // rounds to float32(0.1) on store
-	var b32 bytes.Buffer
-	if err := f32.Encode(&b32); err != nil {
-		t.Fatal(err)
-	}
-	if s := b32.String(); !strings.Contains(s, `"precision":"f32"`) || !strings.Contains(s, `"version":2`) {
-		t.Fatalf("F32 envelope missing tier: %s", s)
-	}
-	got, err := Decode(&b32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Precision() != F32 {
-		t.Fatalf("round-trip tier = %v, want F32", got.Precision())
-	}
-	if !Equal(f32, got) {
-		t.Fatal("F32 round-trip lost values")
-	}
-	if got.Get(4, 5) != float64(float32(0.1)) {
-		t.Fatalf("Get(4,5) = %v, want rounded 0.1", got.Get(4, 5))
-	}
-
-	// A version-2 envelope may also spell out "f64" explicitly.
-	in := `{"version":2,"precision":"f64","alpha":0.5,"gamma":0.8,"cells":[{"s":1,"a":2,"q":3.25}]}`
-	got, err = Decode(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Precision() != F64 || got.Get(1, 2) != 3.25 {
-		t.Fatal("explicit f64 v2 envelope mis-decoded")
+	const want = `{"version":1,"alpha":0.5,"gamma":0.8,"cells":[{"s":1,"a":2,"q":3.25},{"s":4,"a":5,"q":0.1}]}` + "\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("envelope changed:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -121,14 +86,17 @@ func TestDecodeErrors(t *testing.T) {
 		"bad alpha":   `{"version":1,"alpha":0,"gamma":0.8}`,
 		"bad gamma":   `{"version":1,"alpha":0.5,"gamma":1.0}`,
 		// Hostile payloads that smuggle non-finite floats as strings or
-		// out-of-range literals die in the JSON layer; oversized keys and
-		// bogus tiers die in the envelope checks. Either way Decode must
-		// error, never build a table.
+		// out-of-range literals die in the JSON layer; oversized keys die in
+		// the cell checks. Either way Decode must error, never build a table.
 		"string nan alpha": `{"version":1,"alpha":"NaN","gamma":0.8}`,
 		"string nan q":     `{"version":1,"alpha":0.5,"gamma":0.8,"cells":[{"s":1,"a":2,"q":"NaN"}]}`,
 		"overflow inf q":   `{"version":1,"alpha":0.5,"gamma":0.8,"cells":[{"s":1,"a":2,"q":1e999}]}`,
 		"huge key":         `{"version":1,"alpha":0.5,"gamma":0.8,"cells":[{"s":99999999,"a":2,"q":1}]}`,
-		"v2 bad tier":      `{"version":2,"precision":"f16","alpha":0.5,"gamma":0.8}`,
+		// Version 2 recorded a value-storage tier that no longer exists;
+		// every v2 document is rejected, whatever its tier.
+		"v2 f64": `{"version":2,"precision":"f64","alpha":0.5,"gamma":0.8,"cells":[{"s":1,"a":2,"q":3.25}]}`,
+		"v2 f32": `{"version":2,"precision":"f32","alpha":0.5,"gamma":0.8,"cells":[{"s":1,"a":2,"q":3.25}]}`,
+		"v2 f16": `{"version":2,"precision":"f16","alpha":0.5,"gamma":0.8}`,
 	}
 	for name, in := range cases {
 		if _, err := Decode(strings.NewReader(in)); err == nil {
@@ -148,7 +116,7 @@ func TestDecodeErrors(t *testing.T) {
 		"-inf gamma": {Version: 1, Alpha: 0.5, Gamma: math.Inf(-1)},
 	}
 	for name, env := range badEnvelopes {
-		if _, err := validateEnvelope(&env); err == nil {
+		if err := validateEnvelope(&env); err == nil {
 			t.Fatalf("envelope %q: expected error", name)
 		}
 	}
@@ -158,19 +126,13 @@ func TestDecodeErrors(t *testing.T) {
 		"-inf q": {S: 1, A: 2, Q: math.Inf(-1)},
 	}
 	for name, c := range badCells {
-		if err := validateCell(c, F64); err == nil {
+		if err := validateCell(c); err == nil {
 			t.Fatalf("cell %q: expected error", name)
 		}
 	}
-	if err := validateCell(cellJSON{S: 1, A: 2, Q: -1000}, F64); err != nil {
-		t.Fatalf("finite cell rejected: %v", err)
-	}
-	// A finite float64 beyond float32 range overflows on the F32 tier only.
-	big := cellJSON{S: 1, A: 2, Q: -1e300}
-	if err := validateCell(big, F32); err == nil {
-		t.Fatal("f32 overflow cell: expected error")
-	}
-	if err := validateCell(big, F64); err != nil {
-		t.Fatalf("f64 cell rejected: %v", err)
+	for _, q := range []float64{-1000, -1e300} {
+		if err := validateCell(cellJSON{S: 1, A: 2, Q: q}); err != nil {
+			t.Fatalf("finite cell %g rejected: %v", q, err)
+		}
 	}
 }

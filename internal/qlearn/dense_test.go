@@ -251,34 +251,6 @@ func TestFillDense(t *testing.T) {
 	}
 }
 
-// TestFillDenseF32 covers FillDense on the float32 tier, which F32 runs use
-// to build their φ^io vectors: each stored cell widens exactly to float64,
-// cells outside the span are dropped and stale buffer contents are cleared.
-func TestFillDenseF32(t *testing.T) {
-	p := NewP(0.5, 0.8, F32)
-	p.Set(1, 2, 0.1)
-	p.Set(3, 0, -4.5)
-	p.Set(100, 100, 9) // outside the requested span: dropped
-
-	buf := make([]float64, DenseSpan*DenseSpan)
-	for i := range buf {
-		buf[i] = 99
-	}
-	got := p.FillDense(buf, DenseSpan, DenseSpan)
-	for i, v := range got {
-		want := 0.0
-		switch i {
-		case 1*DenseSpan + 2:
-			want = float64(float32(0.1))
-		case 3 * DenseSpan:
-			want = -4.5
-		}
-		if v != want {
-			t.Fatalf("cell %d = %v, want %v", i, v, want)
-		}
-	}
-}
-
 // TestMergeMatchesUnify pins Merge against the Equal-then-Unify composition
 // it replaced on the aggregation hot path: identical post-merge tables,
 // a change report that matches what Equal would have said, and a MaxKnown

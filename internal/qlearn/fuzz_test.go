@@ -8,7 +8,9 @@ import (
 // FuzzDecode feeds arbitrary bytes to the checkpoint codec. Decode must
 // never panic, and any table it accepts must re-encode stably: encode →
 // decode → encode yields identical bytes. The seed corpus under
-// testdata/fuzz/FuzzDecode holds small Encode outputs of both tiers.
+// testdata/fuzz/FuzzDecode holds small Encode outputs and retired version-2
+// documents, which Decode must reject (see TestRetiredV2DocumentsRejected in
+// package glap).
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tbl, err := Decode(bytes.NewReader(data))

@@ -284,3 +284,67 @@ func TestEpsilonGreedy(t *testing.T) {
 		t.Fatal("empty candidates should report !ok")
 	}
 }
+
+// TestCapRoundPinned pins the capacity schedule, and that a fresh backing's
+// cell and value arrays both follow it.
+func TestCapRoundPinned(t *testing.T) {
+	cases := map[int]int{
+		0:    minBackingCap,
+		1:    minBackingCap,
+		15:   minBackingCap,
+		16:   128,
+		100:  192,
+		500:  576,
+		2047: 2112,
+		2048: 2048,
+		2049: 2064,
+		5000: 5008,
+	}
+	for need, want := range cases {
+		if got := capRound(need); got != want {
+			t.Fatalf("capRound(%d) = %d, want %d", need, got, want)
+		}
+		b := newBacking(need)
+		if cap(b.vals) != want || cap(b.idx) != want {
+			t.Fatalf("newBacking(%d): caps idx=%d vals=%d, want %d", need, cap(b.idx), cap(b.vals), want)
+		}
+	}
+}
+
+// TestFootprintValueBytes: Footprint charges 8 bytes per reserved value
+// slot, and the value bytes are a part of the total.
+func TestFootprintValueBytes(t *testing.T) {
+	tb := New(0.5, 0.8)
+	for i := 0; i < 300; i++ {
+		tb.Set(State(i/81), Action(i%81), float64(i))
+	}
+	_, bytes, vb, cells := Footprint([]*Table{tb})
+	if cells != 300 {
+		t.Fatalf("cells = %d, want 300", cells)
+	}
+	if want := int64(cap(tb.b.vals)) * 8; vb != want {
+		t.Fatalf("valueBytes = %d, want 8 B × %d slots = %d", vb, cap(tb.b.vals), want)
+	}
+	if vb > bytes {
+		t.Fatalf("valueBytes %d exceeds total bytes %d", vb, bytes)
+	}
+}
+
+// TestCanonInterning: a union cell set large enough to intern is interned on
+// its second sighting, and later unions of the same shape alias that one
+// immutable canonical array.
+func TestCanonInterning(t *testing.T) {
+	p, q := fastPathPair(1)
+	Unify(p, q) // first sighting (or already interned by an earlier test)
+	p, q = fastPathPair(1)
+	Unify(p, q)
+	if !p.b.idxShared {
+		t.Fatal("second union did not intern its cell set")
+	}
+	canon := &p.b.idx[0]
+	p, q = fastPathPair(2)
+	Unify(p, q)
+	if !p.b.idxShared || &p.b.idx[0] != canon {
+		t.Fatal("third union built a private array instead of aliasing the canonical one")
+	}
+}
